@@ -1,102 +1,24 @@
 #include "core/multi_device.h"
 
-#include <algorithm>
-#include <stdexcept>
-
-#include "core/host_stitch.h"
-#include "mem/clip.h"
-#include "obs/registry.h"
-#include "util/bits.h"
-#include "util/timer.h"
+#include <memory>
 
 namespace gm::core {
 
 MultiDeviceResult run_multi_device(const Config& cfg, std::uint32_t devices,
                                    const seq::Sequence& ref,
                                    const seq::Sequence& query) {
-  if (devices == 0) {
-    throw std::invalid_argument("run_multi_device: need >= 1 device");
-  }
-  const Config::Geometry g = cfg.validated();
-  if (cfg.backend != Backend::kSimt) {
-    throw std::invalid_argument(
-        "run_multi_device: only the SIMT backend is device-partitionable");
-  }
-  if (cfg.observe) obs::Registry::global().set_enabled(true);
-  obs::Span fleet_span("pipeline/multi-device", "pipeline");
-  fleet_span.attr("devices", std::uint64_t{devices});
-  util::Timer wall;
-  MultiDeviceResult result;
-  if (ref.empty() || query.empty()) {
-    result.combined.wall_seconds = wall.seconds();
-    return result;
-  }
-
   const Engine engine(cfg);
-  const std::uint32_t n_r = static_cast<std::uint32_t>(
-      util::ceil_div<std::size_t>(ref.size(), g.tile_len));
-  const std::uint32_t rows_per_device = util::ceil_div(n_r, devices);
-
-  std::vector<mem::Mem> reported;
-  std::vector<mem::Mem> outtile_pieces;
-  for (std::uint32_t d = 0; d < devices; ++d) {
-    const std::uint32_t row_begin = d * rows_per_device;
-    const std::uint32_t row_end = std::min(n_r, row_begin + rows_per_device);
-    // The ordinal tags every span the device emits with its id, keeping the
-    // fleet's modeled timelines on separate trace tracks.
-    simt::Device dev(cfg.device, d);
-    RunStats stats;
-    if (row_begin < row_end) {
-      obs::Span device_span("device/partition", "pipeline");
-      device_span.attr("device", std::uint64_t{d});
-      device_span.attr("row_begin", std::uint64_t{row_begin});
-      device_span.attr("row_end", std::uint64_t{row_end});
-      engine.run_simt_rows(dev, ref, query, row_begin, row_end, reported,
-                           outtile_pieces, stats);
-    }
-    stats.tile_rows = row_end > row_begin ? row_end - row_begin : 0;
-    stats.kernels_launched = dev.ledger().kernels_launched();
-    stats.device_peak_bytes = dev.peak_bytes();
-    result.per_device.push_back(stats);
-
-    // Devices run concurrently: the fleet finishes with its slowest member.
-    result.combined.index_seconds =
-        std::max(result.combined.index_seconds, stats.index_seconds);
-    result.combined.match_seconds =
-        std::max(result.combined.match_seconds, stats.match_seconds);
-    result.combined.modeled_makespan_seconds =
-        std::max(result.combined.modeled_makespan_seconds,
-                 stats.modeled_makespan_seconds);
-    result.combined.tile_rows += stats.tile_rows;
-    result.combined.inblock_mems += stats.inblock_mems;
-    result.combined.intile_mems += stats.intile_mems;
-    result.combined.overflow_rounds += stats.overflow_rounds;
-    result.combined.kernels_launched += stats.kernels_launched;
-    result.combined.device_peak_bytes =
-        std::max(result.combined.device_peak_bytes, stats.device_peak_bytes);
+  std::vector<std::unique_ptr<simt::Device>> cards;
+  std::vector<PoolMember> pool;
+  for (const auto& [row_begin, row_end] : engine.partition_rows(ref, devices)) {
+    const auto ordinal = static_cast<std::uint32_t>(cards.size());
+    cards.push_back(std::make_unique<simt::Device>(cfg.device, ordinal));
+    pool.push_back({cards.back().get(), nullptr, row_begin, row_end});
   }
-  result.combined.tile_cols = static_cast<std::uint32_t>(
-      util::ceil_div<std::size_t>(query.size(), g.tile_len));
-
-  // Host merge over the union of all devices' out-tile pieces; matches
-  // crossing device partitions stitch here exactly like cross-row matches.
-  {
-    obs::Span stitch_span("stitch/host-merge", "stage");
-    util::Timer host_merge;
-    result.combined.outtile_pieces = outtile_pieces.size();
-    std::vector<mem::Mem> finished = finalize_out_tile(
-        ref, query, std::move(outtile_pieces), cfg.min_length);
-    reported.insert(reported.end(), finished.begin(), finished.end());
-    mem::clip_invalid_bases(ref, query, reported, cfg.min_length);
-    mem::sort_unique(reported);
-    result.combined.host_stitch_seconds = host_merge.seconds();
-    result.combined.match_seconds += result.combined.host_stitch_seconds;
-    stitch_span.attr("outtile_pieces", result.combined.outtile_pieces);
-  }
-  result.mems = std::move(reported);
-  result.combined.mem_count = result.mems.size();
-  result.combined.wall_seconds = wall.seconds();
-  publish_run_stats(result.combined);
+  MultiDeviceResult result;
+  Result run = engine.run_pool(ref, query, pool, 0, &result.per_device);
+  result.mems = std::move(run.mems);
+  result.combined = std::move(run.stats);
   return result;
 }
 

@@ -25,8 +25,9 @@ struct MultiDeviceResult {
   std::vector<RunStats> per_device;
 };
 
-/// Runs `cfg` over `devices` simulated cards (row-contiguous partitioning).
-/// devices == 1 is equivalent to Engine::run with the SIMT backend.
+/// Runs `cfg` over `devices` fresh simulated cards: Engine::partition_rows
+/// handed to Engine::run_pool. devices == 1 is equivalent to Engine::run
+/// with the SIMT backend.
 MultiDeviceResult run_multi_device(const Config& cfg, std::uint32_t devices,
                                    const seq::Sequence& ref,
                                    const seq::Sequence& query);

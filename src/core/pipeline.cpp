@@ -28,6 +28,12 @@ namespace {
 
 constexpr mem::Mem kSentinel{0xFFFFFFFFu, 0u, 0u};
 
+/// Tiles of `tile_len` bases needed to cover a sequence of `bases`.
+std::uint32_t tile_count(std::size_t bases, std::uint32_t tile_len) {
+  return static_cast<std::uint32_t>(
+      util::ceil_div<std::size_t>(bases, tile_len));
+}
+
 /// Everything one tile produced, after overflow retries, host-fallback
 /// rounds, and the tile-level combine.
 struct TileResult {
@@ -180,20 +186,6 @@ TileResult process_tile(simt::Device& dev, const Config& cfg,
   return outs;
 }
 
-/// Records the host out-tile merge as a wall-clock stage span whose
-/// duration is exactly RunStats::host_stitch_seconds, so the "stage" spans
-/// of a traced run decompose index_seconds + match_seconds precisely.
-void record_stitch_span(double start_us, const RunStats& stats) {
-  obs::SpanEvent ev;
-  ev.name = "stitch/host-merge";
-  ev.category = "stage";
-  ev.clock = obs::Clock::kWall;
-  ev.start_us = start_us;
-  ev.duration_us = stats.host_stitch_seconds * 1e6;
-  ev.attrs.push_back({"outtile_pieces", stats.outtile_pieces});
-  obs::Registry::global().trace().record(std::move(ev));
-}
-
 }  // namespace
 
 void publish_run_stats(const RunStats& stats) {
@@ -250,19 +242,18 @@ void publish_run_stats(const RunStats& stats) {
 }
 
 Result Engine::run(const seq::Sequence& ref, const seq::Sequence& query) const {
-  return cfg_.backend == Backend::kSimt ? run_simt(ref, query)
-                                        : run_native(ref, query);
+  if (cfg_.backend != Backend::kSimt) return run_native(ref, query);
+  simt::Device dev(cfg_.device);
+  const PoolMember whole{&dev, nullptr, 0,
+                         tile_count(ref.size(), cfg_.validated().tile_len)};
+  return run_pool(ref, query, {&whole, 1});
 }
 
 Engine::NativeIndex Engine::build_native_index(const seq::Sequence& ref) const {
   const Config::Geometry g = cfg_.validated();
   NativeIndex out;
   util::Timer timer;
-  const std::uint32_t n_r = ref.empty()
-                                ? 0
-                                : static_cast<std::uint32_t>(
-                                      util::ceil_div<std::size_t>(ref.size(),
-                                                                  g.tile_len));
+  const std::uint32_t n_r = tile_count(ref.size(), g.tile_len);
   out.rows.reserve(n_r);
   for (std::uint32_t row = 0; row < n_r; ++row) {
     const std::size_t r0 = std::size_t{row} * g.tile_len;
@@ -299,19 +290,79 @@ Result Engine::run_fast_index(const seq::Sequence& ref,
   return out;
 }
 
-void Engine::run_simt_rows(simt::Device& dev, const seq::Sequence& ref,
-                           const seq::Sequence& query,
-                           std::uint32_t row_begin, std::uint32_t row_end,
-                           std::vector<mem::Mem>& reported,
-                           std::vector<mem::Mem>& outtile_pieces,
-                           RunStats& stats,
-                           RowIndexSource* index_source) const {
-  if (cfg_.overlap) {
-    run_simt_rows_overlapped(dev, ref, query, row_begin, row_end, reported,
-                             outtile_pieces, stats, index_source);
-    return;
+namespace {
+
+/// The final host merge of out-tile triplets (paper Section III-C2) and the
+/// close of a run — the one place every pipeline path finishes: stitches
+/// `outtile_pieces` against the full sequences, joins them to `reported`,
+/// clips at invalid bases, normalizes order, and keeps MEMs of length >=
+/// `min_len`. The merge is measured as RunStats::host_stitch_seconds (part
+/// of match_seconds) and traced as a wall "stitch/host-merge" stage span of
+/// exactly that duration, so a traced run's stage spans decompose
+/// index_seconds + match_seconds. Then stamps the request's trace id and the
+/// run's wall time, and publishes the stats.
+void merge_and_finish(const seq::Sequence& ref, const seq::Sequence& query,
+                      std::uint32_t min_len, std::vector<mem::Mem> reported,
+                      std::vector<mem::Mem> outtile_pieces,
+                      const util::Timer& wall, Result& result) {
+  RunStats& stats = result.stats;
+  const double stitch_start_us =
+      obs::enabled() ? obs::Registry::global().wall_now_us() : 0.0;
+  util::Timer host_merge;
+  stats.outtile_pieces = outtile_pieces.size();
+  std::erase_if(reported, [&](const mem::Mem& m) { return m.len < min_len; });
+  std::vector<mem::Mem> finished =
+      finalize_out_tile(ref, query, std::move(outtile_pieces), min_len);
+  reported.insert(reported.end(), finished.begin(), finished.end());
+  mem::clip_invalid_bases(ref, query, reported, min_len);
+  mem::sort_unique(reported);
+  stats.host_stitch_seconds = host_merge.seconds();
+  stats.match_seconds += stats.host_stitch_seconds;
+  if (obs::enabled()) {
+    obs::SpanEvent ev;
+    ev.name = "stitch/host-merge";
+    ev.category = "stage";
+    ev.clock = obs::Clock::kWall;
+    ev.start_us = stitch_start_us;
+    ev.duration_us = stats.host_stitch_seconds * 1e6;
+    ev.attrs.push_back({"outtile_pieces", stats.outtile_pieces});
+    obs::Registry::global().trace().record(std::move(ev));
   }
-  const Config::Geometry g = cfg_.validated();
+
+  result.mems = std::move(reported);
+  stats.mem_count = result.mems.size();
+  stats.trace_id = obs::current_trace().trace_id;
+  stats.wall_seconds = wall.seconds();
+  publish_run_stats(stats);
+}
+
+/// Tile row `row`'s index from `source`, checked against the engine
+/// geometry.
+DeviceIndex& acquire_row(const Config& cfg, const Config::Geometry& g,
+                         RowIndexSource& source, simt::Device& dev,
+                         const seq::Sequence& ref, std::uint32_t row,
+                         bool& hit) {
+  DeviceIndex& index = source.acquire(dev, ref, row, hit);
+  if (index.seed_len != cfg.seed_len || index.step != g.step) {
+    throw std::invalid_argument(
+        "run_pool: RowIndexSource geometry does not match the engine config "
+        "(seed_len/step)");
+  }
+  return index;
+}
+
+/// One pool member's device work over tile rows [row_begin, row_end), one
+/// row after another: upload the sequences, build (or acquire) each row's
+/// partial index, match every tile of the row. Appends reported MEMs and
+/// out-tile pieces; when `index_source` is given, `stats.index_cache_hit`
+/// reports whether every row was served warm.
+void run_rows_serial(const Config& cfg, simt::Device& dev,
+                     const seq::Sequence& ref, const seq::Sequence& query,
+                     std::uint32_t row_begin, std::uint32_t row_end,
+                     std::vector<mem::Mem>& reported,
+                     std::vector<mem::Mem>& outtile_pieces, RunStats& stats,
+                     RowIndexSource* index_source) {
+  const Config::Geometry g = cfg.validated();
   if (ref.empty() || query.empty() || row_begin >= row_end) return;
   const double makespan_base = dev.ledger().total_seconds();
 
@@ -321,11 +372,7 @@ void Engine::run_simt_rows(simt::Device& dev, const seq::Sequence& ref,
   simt::Buffer<std::uint64_t> query_dev(dev, query.size() / 32 + 1);
   dev.account_copy(ref_dev.bytes() + query_dev.bytes());
 
-  const std::uint32_t n_r = static_cast<std::uint32_t>(
-      util::ceil_div<std::size_t>(ref.size(), g.tile_len));
-  const std::uint32_t n_c = static_cast<std::uint32_t>(
-      util::ceil_div<std::size_t>(query.size(), g.tile_len));
-  row_end = std::min(row_end, n_r);
+  const std::uint32_t n_c = tile_count(query.size(), g.tile_len);
 
   const std::uint32_t max_locs =
       static_cast<std::uint32_t>(g.tile_len / g.step) + 2;
@@ -333,12 +380,12 @@ void Engine::run_simt_rows(simt::Device& dev, const seq::Sequence& ref,
   // borrows resident indexes from the source instead.
   std::optional<DeviceIndex> local_index;
   if (index_source == nullptr) {
-    local_index.emplace(dev, cfg_.seed_len, g.step, max_locs);
+    local_index.emplace(dev, cfg.seed_len, g.step, max_locs);
   }
   std::uint32_t rows_hit = 0;
 
-  std::uint32_t cap_out = cfg_.output_capacity;
-  std::uint32_t cap_in = cfg_.output_capacity;
+  std::uint32_t cap_out = cfg.output_capacity;
+  std::uint32_t cap_in = cfg.output_capacity;
 
   for (std::uint32_t row = row_begin; row < row_end; ++row) {
     const std::uint32_t r0 = row * g.tile_len;
@@ -349,14 +396,9 @@ void Engine::run_simt_rows(simt::Device& dev, const seq::Sequence& ref,
       const double before = dev.ledger().total_seconds();
       bool hit = false;
       if (index_source != nullptr) {
-        index = &index_source->acquire(dev, ref, row, hit);
-        if (index->seed_len != cfg_.seed_len || index->step != g.step) {
-          throw std::invalid_argument(
-              "run_simt_rows: RowIndexSource geometry does not match the "
-              "engine config (seed_len/step)");
-        }
+        index = &acquire_row(cfg, g, *index_source, dev, ref, row, hit);
       } else {
-        build_partial_index(dev, ref, r0, r1, cfg_.threads, *local_index);
+        build_partial_index(dev, ref, r0, r1, cfg.threads, *local_index);
         index = &*local_index;
       }
       rows_hit += hit;
@@ -380,7 +422,7 @@ void Engine::run_simt_rows(simt::Device& dev, const seq::Sequence& ref,
       const Rect tile{r0, r1, c0, c1};
       const double before = dev.ledger().total_seconds();
 
-      TileResult outs = process_tile(dev, cfg_, g, ref, query, *index, tile,
+      TileResult outs = process_tile(dev, cfg, g, ref, query, *index, tile,
                                      cap_in, cap_out);
       stats.overflow_rounds += outs.overflow_rounds;
       stats.inblock_mems += outs.inblock.size();
@@ -413,31 +455,28 @@ void Engine::run_simt_rows(simt::Device& dev, const seq::Sequence& ref,
       index_source != nullptr && rows_hit == row_end - row_begin;
 }
 
-void Engine::run_simt_rows_overlapped(simt::Device& dev,
-                                      const seq::Sequence& ref,
-                                      const seq::Sequence& query,
-                                      std::uint32_t row_begin,
-                                      std::uint32_t row_end,
-                                      std::vector<mem::Mem>& reported,
-                                      std::vector<mem::Mem>& outtile_pieces,
-                                      RunStats& stats,
-                                      RowIndexSource* index_source) const {
-  const Config::Geometry g = cfg_.validated();
+/// Stream-overlapped variant of run_rows_serial (cfg.overlap = true):
+/// double-buffered index builds, per-row tiles fanned across
+/// cfg.overlap_streams worker streams, per-row host stitch on a worker
+/// thread. Identical outputs and serial-sum stats; only
+/// modeled_makespan_seconds (and wall clock) improve.
+void run_rows_overlapped(const Config& cfg, simt::Device& dev,
+                         const seq::Sequence& ref, const seq::Sequence& query,
+                         std::uint32_t row_begin, std::uint32_t row_end,
+                         std::vector<mem::Mem>& reported,
+                         std::vector<mem::Mem>& outtile_pieces,
+                         RunStats& stats, RowIndexSource* index_source) {
+  const Config::Geometry g = cfg.validated();
   if (ref.empty() || query.empty() || row_begin >= row_end) return;
 
-  const std::uint32_t n_r = static_cast<std::uint32_t>(
-      util::ceil_div<std::size_t>(ref.size(), g.tile_len));
-  const std::uint32_t n_c = static_cast<std::uint32_t>(
-      util::ceil_div<std::size_t>(query.size(), g.tile_len));
-  row_end = std::min(row_end, n_r);
-  if (row_begin >= row_end) return;
+  const std::uint32_t n_c = tile_count(query.size(), g.tile_len);
   const std::uint32_t n_rows = row_end - row_begin;
-  const std::uint32_t W = cfg_.overlap_streams;
+  const std::uint32_t W = cfg.overlap_streams;
 
   simt::Buffer<std::uint64_t> ref_dev(dev, ref.size() / 32 + 1);
   simt::Buffer<std::uint64_t> query_dev(dev, query.size() / 32 + 1);
 
-  simt::StreamScheduler sched(dev, cfg_.overlap_shuffle_seed);
+  simt::StreamScheduler sched(dev, cfg.overlap_shuffle_seed);
   simt::Stream& copy = sched.create_stream("copy");
   std::vector<simt::Stream*> workers;
   workers.reserve(W);
@@ -463,9 +502,9 @@ void Engine::run_simt_rows_overlapped(simt::Device& dev,
   const bool double_buffer = index_source == nullptr;
   std::optional<DeviceIndex> local_index[2];
   if (double_buffer) {
-    local_index[0].emplace(dev, cfg_.seed_len, g.step, max_locs);
+    local_index[0].emplace(dev, cfg.seed_len, g.step, max_locs);
     if (n_rows > 1) {
-      local_index[1].emplace(dev, cfg_.seed_len, g.step, max_locs);
+      local_index[1].emplace(dev, cfg.seed_len, g.step, max_locs);
     }
   }
 
@@ -489,8 +528,8 @@ void Engine::run_simt_rows_overlapped(simt::Device& dev,
   // Tile -> stream mapping is static (col % W), so each stream's adaptive
   // capacities see the same tile sequence under every drain order — retries
   // and kernels_launched are interleaving-independent.
-  std::vector<std::uint32_t> cap_in(W, cfg_.output_capacity);
-  std::vector<std::uint32_t> cap_out(W, cfg_.output_capacity);
+  std::vector<std::uint32_t> cap_in(W, cfg.output_capacity);
+  std::vector<std::uint32_t> cap_out(W, cfg.output_capacity);
 
   // Host stitch worker: a completed row's MEMs are pre-sorted concurrently
   // with the rest of the drain (the tentpole's "row k-1 host stitch" leg).
@@ -542,22 +581,17 @@ void Engine::run_simt_rows_overlapped(simt::Device& dev,
       DeviceIndex* slot = double_buffer ? &*local_index[i % 2] : nullptr;
       rw.build_op = bs.run(
           "index/build-row",
-          [this, &dev, &ref, &rw, &stats, &rows_hit, index_source, slot, row,
+          [&cfg, &dev, &ref, &rw, &stats, &rows_hit, index_source, slot, row,
            r0, r1, g] {
             const double before = dev.ledger().total_seconds();
             if (index_source != nullptr) {
               bool hit = false;
-              rw.index = &index_source->acquire(dev, ref, row, hit);
-              if (rw.index->seed_len != cfg_.seed_len ||
-                  rw.index->step != g.step) {
-                throw std::invalid_argument(
-                    "run_simt_rows: RowIndexSource geometry does not match "
-                    "the engine config (seed_len/step)");
-              }
+              rw.index =
+                  &acquire_row(cfg, g, *index_source, dev, ref, row, hit);
               rw.hit = hit;
               rows_hit += hit;
             } else {
-              build_partial_index(dev, ref, r0, r1, cfg_.threads, *slot);
+              build_partial_index(dev, ref, r0, r1, cfg.threads, *slot);
               rw.index = slot;
             }
             rw.index_seconds = dev.ledger().total_seconds() - before;
@@ -581,11 +615,11 @@ void Engine::run_simt_rows_overlapped(simt::Device& dev,
           TileWork& tw = tiles[std::size_t{i} * n_c + col];
           tw.op = ws.run(
               "match/tile",
-              [this, &dev, &ref, &query, &rw, &tw, &stats, &cap_in, &cap_out,
+              [&cfg, &dev, &ref, &query, &rw, &tw, &stats, &cap_in, &cap_out,
                &tiles, &row_remaining, &row_reported, &stitch_mu, &stitch_cv,
                &stitch_queue, tile, g, s, i, n_c] {
                 const double before = dev.ledger().total_seconds();
-                tw.outs = process_tile(dev, cfg_, g, ref, query, *rw.index,
+                tw.outs = process_tile(dev, cfg, g, ref, query, *rw.index,
                                        tile, cap_in[s], cap_out[s]);
                 tw.match_seconds = dev.ledger().total_seconds() - before;
                 stats.match_seconds += tw.match_seconds;
@@ -662,76 +696,127 @@ void Engine::run_simt_rows_overlapped(simt::Device& dev,
   }
 }
 
-Result Engine::run_simt(const seq::Sequence& ref,
-                        const seq::Sequence& query) const {
-  simt::Device dev(cfg_.device);
-  return run_simt_on(dev, ref, query, nullptr);
-}
+}  // namespace
 
 Result Engine::run_simt_cached(simt::Device& dev, const seq::Sequence& ref,
                                const seq::Sequence& query,
                                RowIndexSource& source) const {
-  if (cfg_.backend != Backend::kSimt) {
-    throw std::invalid_argument(
-        "run_simt_cached: row-index sources serve only the SIMT backend");
-  }
-  return run_simt_on(dev, ref, query, &source);
+  const PoolMember whole{&dev, &source, 0,
+                         tile_count(ref.size(), cfg_.validated().tile_len)};
+  return run_pool(ref, query, {&whole, 1});
 }
 
-Result Engine::run_simt_on(simt::Device& dev, const seq::Sequence& ref,
-                           const seq::Sequence& query,
-                           RowIndexSource* index_source) const {
+std::vector<std::pair<std::uint32_t, std::uint32_t>> Engine::partition_rows(
+    const seq::Sequence& ref, std::uint32_t devices) const {
+  const std::uint32_t n_r = tile_count(ref.size(), cfg_.validated().tile_len);
+  const std::uint32_t per_device =
+      devices == 0 ? 0 : util::ceil_div(n_r, devices);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+  out.reserve(devices);
+  for (std::uint32_t d = 0; d < devices; ++d) {
+    const std::uint32_t begin = std::min(n_r, d * per_device);
+    out.emplace_back(begin, std::min(n_r, begin + per_device));
+  }
+  return out;
+}
+
+Result Engine::run_pool(const seq::Sequence& ref, const seq::Sequence& query,
+                        std::span<const PoolMember> pool,
+                        std::uint32_t min_length,
+                        std::vector<RunStats>* per_device) const {
   const Config::Geometry g = cfg_.validated();
+  if (cfg_.backend != Backend::kSimt) {
+    throw std::invalid_argument(
+        "run_pool: only the SIMT backend runs on a device pool");
+  }
+  if (pool.empty()) throw std::invalid_argument("run_pool: need >= 1 device");
+  if (min_length != 0 && min_length < cfg_.min_length) {
+    throw std::invalid_argument(
+        "run_pool: min_length below the engine's configured minimum");
+  }
   if (cfg_.observe) obs::Registry::global().set_enabled(true);
   obs::Span run_span("pipeline/run", "pipeline");
   run_span.attr("backend", std::string("simt"));
   run_span.attr("ref_bp", std::uint64_t{ref.size()});
   run_span.attr("query_bp", std::uint64_t{query.size()});
+  run_span.attr("devices", std::uint64_t{pool.size()});
   util::Timer wall;
   Result result;
-
-  // The device may be persistent (serve-layer pool, resident cache), so all
-  // ledger-derived stats are deltas from this point, and the peak watermark
-  // restarts at whatever is currently resident.
-  const simt::PerfLedger::Snapshot base = dev.ledger().snapshot();
-  dev.reset_peak();
-  if (!ref.empty() && !query.empty()) {
-    result.stats.tile_rows = static_cast<std::uint32_t>(
-        util::ceil_div<std::size_t>(ref.size(), g.tile_len));
-    result.stats.tile_cols = static_cast<std::uint32_t>(
-        util::ceil_div<std::size_t>(query.size(), g.tile_len));
-  }
+  RunStats& total = result.stats;
+  const bool has_work = !ref.empty() && !query.empty();
+  const std::uint32_t n_r = has_work ? tile_count(ref.size(), g.tile_len) : 0;
+  if (has_work) total.tile_cols = tile_count(query.size(), g.tile_len);
 
   std::vector<mem::Mem> reported;        // in-block + in-tile MEMs
-  std::vector<mem::Mem> outtile_pieces;  // stitched at the end
-  run_simt_rows(dev, ref, query, 0, result.stats.tile_rows, reported,
-                outtile_pieces, result.stats, index_source);
+  std::vector<mem::Mem> outtile_pieces;  // stitched by the host merge
+  std::vector<RunStats> members(pool.size());
+  bool all_warm = true;
+  for (std::size_t d = 0; d < pool.size(); ++d) {
+    const PoolMember& m = pool[d];
+    const std::uint32_t row_end = std::min(m.row_end, n_r);
+    if (m.row_begin >= row_end) continue;
+    RunStats& s = members[d];
+    // The device may be persistent (serve-layer pool, resident cache), so
+    // all ledger-derived stats are deltas from this point, and the peak
+    // watermark restarts at whatever is currently resident.
+    simt::Device& dev = *m.dev;
+    const simt::PerfLedger::Snapshot base = dev.ledger().snapshot();
+    dev.reset_peak();
+    {
+      // The device ordinal tags every modeled span with its id, keeping a
+      // pool's timelines on separate trace tracks.
+      obs::Span device_span("device/partition", "pipeline");
+      device_span.attr("device", std::uint64_t{dev.ordinal()});
+      device_span.attr("row_begin", std::uint64_t{m.row_begin});
+      device_span.attr("row_end", std::uint64_t{row_end});
+      (cfg_.overlap ? run_rows_overlapped : run_rows_serial)(
+          cfg_, dev, ref, query, m.row_begin, row_end, reported,
+          outtile_pieces, s, m.index_source);
+    }
+    s.tile_rows = row_end - m.row_begin;
+    s.tile_cols = total.tile_cols;
+    s.kernels_launched = dev.ledger().kernels_launched() - base.kernels;
+    s.device_peak_bytes = dev.peak_bytes();
+    for (const auto& [label, ls] : dev.ledger().breakdown_since(base)) {
+      s.kernel_breakdown.push_back({label, ls.seconds, ls.launches});
+    }
 
-  // ---- final host merge of out-tile triplets (Section III-C2) -------------
-  {
-    const double stitch_start_us =
-        obs::enabled() ? obs::Registry::global().wall_now_us() : 0.0;
-    util::Timer host_merge;
-    result.stats.outtile_pieces = outtile_pieces.size();
-    std::vector<mem::Mem> finished = finalize_out_tile(
-        ref, query, std::move(outtile_pieces), cfg_.min_length);
-    reported.insert(reported.end(), finished.begin(), finished.end());
-    mem::clip_invalid_bases(ref, query, reported, cfg_.min_length);
-    mem::sort_unique(reported);
-    result.stats.host_stitch_seconds = host_merge.seconds();
-    result.stats.match_seconds += result.stats.host_stitch_seconds;
-    if (obs::enabled()) record_stitch_span(stitch_start_us, result.stats);
+    // Members run concurrently: the pool finishes with its slowest member.
+    total.index_seconds = std::max(total.index_seconds, s.index_seconds);
+    total.match_seconds = std::max(total.match_seconds, s.match_seconds);
+    total.modeled_makespan_seconds =
+        std::max(total.modeled_makespan_seconds, s.modeled_makespan_seconds);
+    total.device_peak_bytes =
+        std::max(total.device_peak_bytes, s.device_peak_bytes);
+    total.tile_rows += s.tile_rows;
+    total.inblock_mems += s.inblock_mems;
+    total.intile_mems += s.intile_mems;
+    total.overflow_rounds += s.overflow_rounds;
+    total.kernels_launched += s.kernels_launched;
+    for (const RunStats::KernelStat& ks : s.kernel_breakdown) {
+      const auto it = std::find_if(
+          total.kernel_breakdown.begin(), total.kernel_breakdown.end(),
+          [&](const RunStats::KernelStat& t) { return t.label == ks.label; });
+      if (it == total.kernel_breakdown.end()) {
+        total.kernel_breakdown.push_back(ks);
+      } else {
+        it->seconds += ks.seconds;
+        it->launches += ks.launches;
+      }
+    }
+    all_warm = all_warm && s.index_cache_hit;
   }
+  std::stable_sort(
+      total.kernel_breakdown.begin(), total.kernel_breakdown.end(),
+      [](const RunStats::KernelStat& a, const RunStats::KernelStat& b) {
+        return a.seconds > b.seconds;
+      });
+  total.index_cache_hit = total.tile_rows > 0 && all_warm;
+  if (per_device != nullptr) *per_device = std::move(members);
 
-  result.mems = std::move(reported);
-  result.stats.mem_count = result.mems.size();
-  result.stats.kernels_launched = dev.ledger().kernels_launched() - base.kernels;
-  result.stats.device_peak_bytes = dev.peak_bytes();
-  for (const auto& [label, ls] : dev.ledger().breakdown_since(base)) {
-    result.stats.kernel_breakdown.push_back({label, ls.seconds, ls.launches});
-  }
-  result.stats.wall_seconds = wall.seconds();
-  publish_run_stats(result.stats);
+  merge_and_finish(ref, query, min_length != 0 ? min_length : cfg_.min_length,
+                   std::move(reported), std::move(outtile_pieces), wall,
+                   result);
   return result;
 }
 
@@ -751,10 +836,8 @@ Result Engine::run_native(const seq::Sequence& ref,
     return result;
   }
 
-  const std::uint32_t n_r = static_cast<std::uint32_t>(
-      util::ceil_div<std::size_t>(ref.size(), g.tile_len));
-  const std::uint32_t n_c = static_cast<std::uint32_t>(
-      util::ceil_div<std::size_t>(query.size(), g.tile_len));
+  const std::uint32_t n_r = tile_count(ref.size(), g.tile_len);
+  const std::uint32_t n_c = tile_count(query.size(), g.tile_len);
   result.stats.tile_rows = n_r;
   result.stats.tile_cols = n_c;
   result.stats.index_cache_hit = prebuilt != nullptr;
@@ -835,25 +918,8 @@ Result Engine::run_native(const seq::Sequence& ref,
     result.stats.match_seconds += match_timer.seconds();
   }
 
-  {
-    const double stitch_start_us =
-        obs::enabled() ? obs::Registry::global().wall_now_us() : 0.0;
-    util::Timer host_merge;
-    result.stats.outtile_pieces = outtile_pieces.size();
-    std::vector<mem::Mem> finished = finalize_out_tile(
-        ref, query, std::move(outtile_pieces), cfg_.min_length);
-    reported.insert(reported.end(), finished.begin(), finished.end());
-    mem::clip_invalid_bases(ref, query, reported, cfg_.min_length);
-    mem::sort_unique(reported);
-    result.stats.host_stitch_seconds = host_merge.seconds();
-    result.stats.match_seconds += result.stats.host_stitch_seconds;
-    if (obs::enabled()) record_stitch_span(stitch_start_us, result.stats);
-  }
-
-  result.mems = std::move(reported);
-  result.stats.mem_count = result.mems.size();
-  result.stats.wall_seconds = wall.seconds();
-  publish_run_stats(result.stats);
+  merge_and_finish(ref, query, cfg_.min_length, std::move(reported),
+                   std::move(outtile_pieces), wall, result);
   return result;
 }
 

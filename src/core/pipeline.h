@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,9 +64,10 @@ struct RunStats {
   /// effectiveness signal.
   bool index_cache_hit = false;
 
-  /// Owning request's trace id when this run was executed by the serve
-  /// layer (0 for standalone Engine::run calls). Gives per-request phase
-  /// attribution: the index/match/stitch seconds above, keyed by request.
+  /// Trace id of the obs::ScopedTrace the run executed under: the owning
+  /// request's id when the serve layer ran it, 0 for standalone calls.
+  /// Gives per-request phase attribution: the index/match/stitch seconds
+  /// above, keyed by request.
   std::uint64_t trace_id = 0;
 
   /// One kernel label's modeled totals (SIMT backend).
@@ -108,6 +110,17 @@ class RowIndexSource {
   /// cleared or destroyed.
   virtual DeviceIndex& acquire(simt::Device& dev, const seq::Sequence& ref,
                                std::uint32_t row, bool& hit) = 0;
+};
+
+/// One member of a simulated device pool (Engine::run_pool): a fresh or
+/// persistent device, the tile rows [row_begin, row_end) it owns, and an
+/// optional source of ready-made row indexes (null = Algorithm 1 builds
+/// every row per run).
+struct PoolMember {
+  simt::Device* dev = nullptr;
+  RowIndexSource* index_source = nullptr;
+  std::uint32_t row_begin = 0;
+  std::uint32_t row_end = 0;
 };
 
 class Engine {
@@ -154,37 +167,29 @@ class Engine {
                          const seq::Sequence& query,
                          RowIndexSource& source) const;
 
-  /// Device-level work unit: processes tile rows [row_begin, row_end) on
-  /// `dev` (uploading the sequences, building the per-row partial index,
-  /// matching every tile of those rows), appending reported MEMs and
-  /// out-tile pieces. Exposed for the multi-device driver
-  /// (core/multi_device.h) and the serve layer; single-device run() is this
-  /// over all rows plus the final host merge. When `index_source` is given,
-  /// row indexes are acquired from it instead of built, and
-  /// `stats.index_cache_hit` reports whether every row was served warm.
-  void run_simt_rows(simt::Device& dev, const seq::Sequence& ref,
-                     const seq::Sequence& query, std::uint32_t row_begin,
-                     std::uint32_t row_end, std::vector<mem::Mem>& reported,
-                     std::vector<mem::Mem>& outtile_pieces, RunStats& stats,
-                     RowIndexSource* index_source = nullptr) const;
+  /// Row-contiguous split of `ref`'s tile rows over a `devices`-member pool
+  /// (the reference partitioning of the paper's ref. [1]): entry d is member
+  /// d's [row_begin, row_end). Trailing members may get empty ranges.
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> partition_rows(
+      const seq::Sequence& ref, std::uint32_t devices) const;
+
+  /// The SIMT device pool, the one path every SIMT caller takes: each
+  /// member runs its tile rows on its device (building the per-row partial
+  /// index, or acquiring it from the member's RowIndexSource, then matching
+  /// every tile of those rows), and the out-tile pieces of all members meet
+  /// in one final host merge — matches crossing member partitions stitch
+  /// there exactly like cross-row matches. Members model concurrently
+  /// running cards: modeled times are the max over members, counters are
+  /// sums. All device stats are ledger deltas, so members may be persistent.
+  /// `min_length` (0 = the config's L; otherwise >= it) filters the merged
+  /// result exactly, as MEM maximality is L-independent. `per_device`, when
+  /// given, receives each member's own stats.
+  Result run_pool(const seq::Sequence& ref, const seq::Sequence& query,
+                  std::span<const PoolMember> pool,
+                  std::uint32_t min_length = 0,
+                  std::vector<RunStats>* per_device = nullptr) const;
 
  private:
-  /// Stream-overlapped variant of run_simt_rows (cfg.overlap = true):
-  /// double-buffered index builds, per-row tiles fanned across
-  /// cfg.overlap_streams worker streams, per-row host stitch on a worker
-  /// thread. Identical outputs and serial-sum stats; only
-  /// modeled_makespan_seconds (and wall clock) improve.
-  void run_simt_rows_overlapped(simt::Device& dev, const seq::Sequence& ref,
-                                const seq::Sequence& query,
-                                std::uint32_t row_begin, std::uint32_t row_end,
-                                std::vector<mem::Mem>& reported,
-                                std::vector<mem::Mem>& outtile_pieces,
-                                RunStats& stats,
-                                RowIndexSource* index_source) const;
-  Result run_simt(const seq::Sequence& ref, const seq::Sequence& query) const;
-  Result run_simt_on(simt::Device& dev, const seq::Sequence& ref,
-                     const seq::Sequence& query,
-                     RowIndexSource* index_source) const;
   Result run_native(const seq::Sequence& ref, const seq::Sequence& query,
                     const NativeIndex* prebuilt = nullptr) const;
 

@@ -53,7 +53,7 @@ class SlaMemFinder final : public MemFinder {
   /// resident finder answers any per-request L — the serve path's long-MEM
   /// routing (docs/SERVING.md). Throws std::invalid_argument for L == 0.
   std::vector<Mem> find_at(const seq::Sequence& query,
-                           std::uint32_t min_length) const;
+                           std::uint32_t min_length) const override;
 
   double last_find_modeled_seconds() const override { return last_seconds_; }
   std::size_t index_bytes() const override { return fm_ ? fm_->bytes() : 0; }

@@ -4,10 +4,10 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/host_stitch.h"
-#include "mem/clip.h"
+#include "mem/copmem.h"
+#include "mem/registry.h"
+#include "mem/slamem.h"
 #include "obs/registry.h"
-#include "util/bits.h"
 #include "util/timer.h"
 
 namespace gm::serve {
@@ -70,8 +70,37 @@ void publish_service_stats(const ServiceStats& stats) {
   set("serve.max_queue_depth", static_cast<double>(stats.max_queue_depth));
   set("serve.modeled_index_seconds", stats.modeled_index_seconds,
       "summed per-request modeled index time (device max per request)");
-  set("serve.modeled_match_seconds", stats.modeled_match_seconds);
+  set("serve.modeled_match_seconds", stats.modeled_match_seconds,
+      "summed per-request modeled match time (excl. the host stitch)");
   set("serve.queue_seconds_total", stats.queue_seconds_total);
+}
+
+std::unique_ptr<mem::MemFinder> make_resident_finder(
+    const std::string& name, const seq::Sequence& ref,
+    const mem::FinderOptions& opt, unsigned seed_len,
+    const store::LoadedIndex* artifact) {
+  std::unique_ptr<mem::MemFinder> finder = mem::create_finder(name);
+  obs::Span span("index/resident-finder", "index");
+  span.attr("finder", finder->name());
+  const auto carries = [artifact](store::SectionId id) {
+    return artifact != nullptr && artifact->has(id);
+  };
+  auto* copmem = dynamic_cast<mem::CopMemFinder*>(finder.get());
+  auto* slamem = dynamic_cast<mem::SlaMemFinder*>(finder.get());
+  if (copmem != nullptr && carries(store::SectionId::kCopmemIndex)) {
+    copmem->adopt_index(ref, opt, artifact->copmem_index());
+    span.attr("source", std::string(store::section_name(
+                            store::SectionId::kCopmemIndex)));
+  } else if (slamem != nullptr && carries(store::SectionId::kFmIndex)) {
+    slamem->adopt_index(ref, opt, artifact->fm_index());
+    span.attr("source",
+              std::string(store::section_name(store::SectionId::kFmIndex)));
+  } else {
+    if (copmem != nullptr) copmem->set_seed_len(seed_len);
+    finder->build_index(ref, opt);
+    span.attr("source", std::string("build"));
+  }
+  return finder;
 }
 
 MemService::MemService(ServiceConfig cfg, seq::Sequence ref)
@@ -100,44 +129,26 @@ MemService::MemService(ServiceConfig cfg, seq::Sequence ref)
           std::to_string(cfg_.artifact->reference().size()) + " bases)");
     }
   }
-  if (cfg_.copmem_fast_index) {
-    copmem_ = std::make_unique<mem::CopMemFinder>();
-    mem::FinderOptions fopt;
-    fopt.min_length = cfg_.engine.min_length;
-    fopt.threads = cfg_.engine.threads;
-    if (cfg_.artifact != nullptr &&
-        cfg_.artifact->has(store::SectionId::kCopmemIndex)) {
-      copmem_->adopt_index(ref_, fopt, cfg_.artifact->copmem_index());
-    } else {
-      copmem_->set_seed_len(cfg_.engine.seed_len);
-      copmem_->build_index(ref_, fopt);
-    }
-  }
+  // Host routes, most specific first: the long-MEM finder from its
+  // threshold up (0 = every request, as none resolves below the engine's
+  // L), then copMEM for every request.
+  mem::FinderOptions fopt;
+  fopt.min_length = cfg_.engine.min_length;
+  fopt.threads = cfg_.engine.threads;
   if (cfg_.lazy_lcp) {
-    slamem_ = std::make_unique<mem::SlaMemFinder>(/*force_lazy=*/true);
-    mem::FinderOptions fopt;
-    fopt.min_length = cfg_.engine.min_length;
-    fopt.lazy_lcp = true;
-    if (cfg_.artifact != nullptr &&
-        cfg_.artifact->has(store::SectionId::kFmIndex)) {
-      slamem_->adopt_index(ref_, fopt, cfg_.artifact->fm_index());
-    } else {
-      slamem_->build_index(ref_, fopt);
-    }
-    if (cfg_.long_mem_threshold == 0) {
-      cfg_.long_mem_threshold = cfg_.engine.min_length;
-    }
+    routes_.push_back({make_resident_finder("slamem-lazy", ref_, fopt,
+                                            cfg_.engine.seed_len,
+                                            cfg_.artifact.get()),
+                       cfg_.long_mem_threshold});
   }
-  const core::Config::Geometry g = cfg_.engine.validated();
-  tile_rows_ = ref_.empty()
-                   ? 0
-                   : static_cast<std::uint32_t>(
-                         util::ceil_div<std::size_t>(ref_.size(), g.tile_len));
+  if (cfg_.copmem_fast_index) {
+    routes_.push_back({make_resident_finder("copmem", ref_, fopt,
+                                            cfg_.engine.seed_len,
+                                            cfg_.artifact.get()),
+                       0});
+  }
 
-  // Row-contiguous partitioning across the pool, as in run_multi_device;
-  // cross-partition MEMs stitch in the per-request host merge.
-  const std::uint32_t rows_per_device =
-      tile_rows_ == 0 ? 0 : util::ceil_div(tile_rows_, cfg_.devices);
+  const auto rows = engine_.partition_rows(ref_, cfg_.devices);
   workers_.reserve(cfg_.devices);
   for (std::uint32_t d = 0; d < cfg_.devices; ++d) {
     DeviceWorker w;
@@ -149,8 +160,8 @@ MemService::MemService(ServiceConfig cfg, seq::Sequence ref)
           *w.dev, cfg_.engine, /*ref_id=*/reinterpret_cast<std::uintptr_t>(this));
       if (cfg_.artifact != nullptr) w.cache->back_with_artifact(cfg_.artifact);
     }
-    w.row_begin = std::min(tile_rows_, d * rows_per_device);
-    w.row_end = std::min(tile_rows_, w.row_begin + rows_per_device);
+    pool_.push_back(
+        {w.dev.get(), w.cache.get(), rows[d].first, rows[d].second});
     workers_.push_back(std::move(w));
   }
 
@@ -358,7 +369,8 @@ void MemService::dispatcher_loop() {
           case QueryStatus::kOk:
             ++stats_.completed;
             stats_.modeled_index_seconds += result.stats.index_seconds;
-            stats_.modeled_match_seconds += result.stats.match_seconds;
+            stats_.modeled_match_seconds +=
+                result.stats.device_match_seconds();
             break;
           case QueryStatus::kExpired: ++stats_.expired; break;
           case QueryStatus::kFailed: ++stats_.failed; break;
@@ -439,7 +451,6 @@ QueryResult MemService::execute(Pending& pending, double queue_seconds) {
   request_span.attr("query_bp", std::uint64_t{pending.req.query.size()});
   request_span.attr("queue_us", queue_seconds * 1e6);
 
-  util::Timer wall;
   try {
     const seq::Sequence& query = pending.req.query;
     // Per-request minimum length: 0 falls back to the engine's L; larger
@@ -449,106 +460,29 @@ QueryResult MemService::execute(Pending& pending, double queue_seconds) {
     const std::uint32_t req_len = pending.req.min_length != 0
                                       ? pending.req.min_length
                                       : cfg_.engine.min_length;
-    if (slamem_ != nullptr && req_len >= cfg_.long_mem_threshold) {
-      // Long-MEM fast path: the resident lazy FM-index finder answers at
-      // the request's own L on the host — no device work, and work scales
-      // down as L grows instead of up (PERFORMANCE.md "Long-MEM mode").
-      result.mems = slamem_->find_at(query, req_len);
-      result.stats.match_seconds = slamem_->last_find_modeled_seconds();
-      result.stats.index_cache_hit = true;
-      result.stats.mem_count = result.mems.size();
-      result.stats.wall_seconds = wall.seconds();
-      result.stats.trace_id = pending.trace_id;
-      result.status = QueryStatus::kOk;
-      core::publish_run_stats(result.stats);
-      obs::flight(obs::FlightKind::kQueue, "done", pending.trace_id,
-                  static_cast<double>(result.status));
-      request_span.attr("status", std::string(to_string(result.status)));
-      request_span.attr("mems", result.stats.mem_count);
-      request_span.attr("long_mem_len", std::uint64_t{req_len});
-      return result;
-    }
-    if (copmem_ != nullptr) {
-      // copMEM fast-index path: the resident sampled index answers the
-      // request on the host — no device work, no index cost to report.
-      result.mems = copmem_->find(query);
-      if (req_len > cfg_.engine.min_length) {
-        std::erase_if(result.mems, [&](const mem::Mem& m) {
-          return m.len < req_len;
+    const auto route =
+        std::find_if(routes_.begin(), routes_.end(), [&](const HostRoute& r) {
+          return req_len >= r.min_length;
         });
-      }
-      result.stats.match_seconds = copmem_->last_find_modeled_seconds();
+    if (route != routes_.end()) {
+      // A resident host finder answers at the request's own L — no device
+      // work and no index cost (docs/SERVING.md "Routing").
+      request_span.attr("route", route->finder->name());
+      util::Timer wall;
+      result.mems = route->finder->find_at(query, req_len);
+      result.stats.match_seconds = route->finder->last_find_modeled_seconds();
       result.stats.index_cache_hit = true;
       result.stats.mem_count = result.mems.size();
       result.stats.wall_seconds = wall.seconds();
       result.stats.trace_id = pending.trace_id;
-      result.status = QueryStatus::kOk;
       core::publish_run_stats(result.stats);
-      obs::flight(obs::FlightKind::kQueue, "done", pending.trace_id,
-                  static_cast<double>(result.status));
-      request_span.attr("status", std::string(to_string(result.status)));
-      request_span.attr("mems", result.stats.mem_count);
-      return result;
+    } else {
+      request_span.attr("route", std::string("device"));
+      core::Result run = engine_.run_pool(ref_, query, pool_, req_len);
+      result.mems = std::move(run.mems);
+      result.stats = std::move(run.stats);
     }
-    result.stats.tile_rows = tile_rows_;
-    result.stats.tile_cols =
-        query.empty() ? 0
-                      : static_cast<std::uint32_t>(util::ceil_div<std::size_t>(
-                            query.size(),
-                            cfg_.engine.validated().tile_len));
-    if (query.empty()) result.stats.tile_rows = 0;
-
-    std::vector<mem::Mem> reported;
-    std::vector<mem::Mem> outtile_pieces;
-    bool all_rows_warm = tile_rows_ > 0 && !query.empty();
-    for (DeviceWorker& w : workers_) {
-      if (w.row_begin >= w.row_end) continue;
-      const simt::PerfLedger::Snapshot before = w.dev->ledger().snapshot();
-      w.dev->reset_peak();
-      core::RunStats dstats;
-      engine_.run_simt_rows(*w.dev, ref_, query, w.row_begin, w.row_end,
-                            reported, outtile_pieces, dstats, w.cache.get());
-      // Pool members run concurrently in the model: per-request modeled
-      // time is the slowest device, counters are totals.
-      result.stats.index_seconds =
-          std::max(result.stats.index_seconds, dstats.index_seconds);
-      result.stats.match_seconds =
-          std::max(result.stats.match_seconds, dstats.match_seconds);
-      result.stats.modeled_makespan_seconds =
-          std::max(result.stats.modeled_makespan_seconds,
-                   dstats.modeled_makespan_seconds);
-      result.stats.inblock_mems += dstats.inblock_mems;
-      result.stats.intile_mems += dstats.intile_mems;
-      result.stats.overflow_rounds += dstats.overflow_rounds;
-      result.stats.kernels_launched +=
-          w.dev->ledger().kernels_launched() - before.kernels;
-      result.stats.device_peak_bytes =
-          std::max(result.stats.device_peak_bytes, w.dev->peak_bytes());
-      all_rows_warm = all_rows_warm && dstats.index_cache_hit;
-    }
-    result.stats.index_cache_hit = all_rows_warm;
-
-    // Host merge over the union of all devices' out-tile pieces.
-    util::Timer host_merge;
-    result.stats.outtile_pieces = outtile_pieces.size();
-    std::vector<mem::Mem> finished = core::finalize_out_tile(
-        ref_, query, std::move(outtile_pieces), cfg_.engine.min_length);
-    reported.insert(reported.end(), finished.begin(), finished.end());
-    mem::clip_invalid_bases(ref_, query, reported, cfg_.engine.min_length);
-    mem::sort_unique(reported);
-    if (req_len > cfg_.engine.min_length) {
-      std::erase_if(reported,
-                    [&](const mem::Mem& m) { return m.len < req_len; });
-    }
-    result.stats.host_stitch_seconds = host_merge.seconds();
-    result.stats.match_seconds += result.stats.host_stitch_seconds;
-
-    result.mems = std::move(reported);
-    result.stats.mem_count = result.mems.size();
-    result.stats.wall_seconds = wall.seconds();
-    result.stats.trace_id = pending.trace_id;
     result.status = QueryStatus::kOk;
-    core::publish_run_stats(result.stats);
   } catch (const std::exception& e) {
     result.status = QueryStatus::kFailed;
     result.error = e.what();

@@ -2,10 +2,12 @@
 //
 // MemService answers a stream of queries against one reference: a bounded
 // submit queue (admission control / backpressure), per-request deadlines, a
-// dispatcher that drains the queue in batches, and a device pool that
-// partitions tile rows per device (run_multi_device's partitioning) with a
-// per-device reference index cache — so steady-state requests pay only the
-// extraction time, not Table III's index build. See docs/SERVING.md.
+// dispatcher that drains the queue in batches, optional resident host
+// finders routed by minimum length, and a device pool that partitions tile
+// rows per device (core::Engine::run_pool, run_multi_device's partitioning)
+// with a per-device reference index cache — so steady-state requests pay
+// only the extraction time, not Table III's index build. See
+// docs/SERVING.md.
 #pragma once
 
 #include <chrono>
@@ -22,9 +24,8 @@
 
 #include "core/config.h"
 #include "core/pipeline.h"
-#include "mem/copmem.h"
+#include "mem/finder.h"
 #include "mem/mem.h"
-#include "mem/slamem.h"
 #include "seq/sequence.h"
 #include "serve/index_cache.h"
 #include "simt/device.h"
@@ -65,7 +66,8 @@ struct ServiceConfig {
   /// copMEM fast-index mode (mem/copmem.h): build a host-side
   /// double-sampled finder over the reference at construction — adopting
   /// the artifact's kCopmemIndex section when one is attached and carries
-  /// it — and answer every request from it, bypassing the device pool.
+  /// it — and answer from it, bypassing the device pool, every request the
+  /// long-MEM route (below) does not take.
   /// Steady-state requests pay only the sampled scan: index_seconds is 0
   /// and index_cache_hit is true in every result. `engine.seed_len` is the
   /// sampling seed length K; `engine` must still be a valid kSimt config.
@@ -156,6 +158,8 @@ struct ServiceStats {
   std::size_t max_queue_depth = 0;
 
   double modeled_index_seconds = 0.0;  ///< summed per-request device maxima
+  /// Summed per-request RunStats::device_match_seconds(): modeled only,
+  /// without the measured wall time of the host stitch.
   double modeled_match_seconds = 0.0;
   double queue_seconds_total = 0.0;  ///< summed over dispatched requests
 };
@@ -163,6 +167,19 @@ struct ServiceStats {
 /// Mirrors every ServiceStats field into the global metrics registry under
 /// "serve.*" names (docs/OBSERVABILITY.md). No-op when obs is disabled.
 void publish_service_stats(const ServiceStats& stats);
+
+/// Creates the registry finder `name` (mem/registry.h) resident over `ref`,
+/// adopting the index section `artifact` carries for it — kCopmemIndex for
+/// "copmem", kFmIndex for "slamem"/"slamem-lazy" — and building the index
+/// otherwise (copMEM at seed length `seed_len`; 0 = auto). `ref` must
+/// outlive the finder and, with an artifact, be the artifact's reference.
+/// Emits an "index/resident-finder" wall span (attrs: finder, source = the
+/// adopted section's name or "build"). The one construction path for
+/// MemService's host routes and gpumem_cli --load-index.
+std::unique_ptr<mem::MemFinder> make_resident_finder(
+    const std::string& name, const seq::Sequence& ref,
+    const mem::FinderOptions& opt, unsigned seed_len,
+    const store::LoadedIndex* artifact);
 
 class MemService {
  public:
@@ -218,13 +235,18 @@ class MemService {
     std::uint32_t lane = 0;         ///< wall-trace lane for this request
   };
 
-  /// One pool member: a persistent device owning tile rows
-  /// [row_begin, row_end) and, when caching, their resident indexes.
+  /// One pool member's resident state: a persistent device and, when
+  /// caching, the indexes of the tile rows it owns.
   struct DeviceWorker {
     std::unique_ptr<simt::Device> dev;
     std::unique_ptr<DeviceRowIndexCache> cache;  ///< null when cache off
-    std::uint32_t row_begin = 0;
-    std::uint32_t row_end = 0;
+  };
+
+  /// A resident host finder answering every request whose resolved minimum
+  /// length is >= `min_length`, with no device work.
+  struct HostRoute {
+    std::unique_ptr<mem::MemFinder> finder;
+    std::uint32_t min_length = 0;
   };
 
   void dispatcher_loop();
@@ -233,10 +255,11 @@ class MemService {
   ServiceConfig cfg_;
   seq::Sequence ref_;
   core::Engine engine_;
-  std::uint32_t tile_rows_ = 0;
   std::vector<DeviceWorker> workers_;
-  std::unique_ptr<mem::CopMemFinder> copmem_;  ///< fast-index mode only
-  std::unique_ptr<mem::SlaMemFinder> slamem_;  ///< long-MEM mode only
+  std::vector<core::PoolMember> pool_;  ///< workers_ with their row ranges
+  /// Checked in order; the first route whose threshold a request reaches
+  /// answers it, and the device pool answers the rest.
+  std::vector<HostRoute> routes_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -8,12 +8,15 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "core/pipeline.h"
 #include "mem/copmem.h"
 #include "mem/naive.h"
+#include "obs/registry.h"
 #include "seq/synthetic.h"
 #include "serve/index_cache.h"
 #include "serve/service.h"
@@ -520,7 +523,9 @@ TEST(MemServiceTest, InvalidConfigsThrow) {
 
 TEST(MemServiceTest, WarmServiceBeatsColdOnModeledTime) {
   // The tentpole claim at test scale: after warm-up, a request's modeled
-  // device time drops by exactly the index-build share.
+  // device time drops by exactly the index-build share. Compared on the
+  // modeled clock only: match_seconds also holds the measured wall time of
+  // the host stitch, which a slow (e.g. sanitizer) build inflates.
   const auto ref = test_reference(4000, 74);
   const auto query = derived_query(ref, 75);
   ServiceConfig scfg;
@@ -533,9 +538,130 @@ TEST(MemServiceTest, WarmServiceBeatsColdOnModeledTime) {
   ASSERT_EQ(warm.status, QueryStatus::kOk);
   ASSERT_GT(cold.stats.index_seconds, 0.0);
   EXPECT_EQ(warm.stats.index_seconds, 0.0);
-  const double cold_total = cold.stats.index_seconds + cold.stats.match_seconds;
-  const double warm_total = warm.stats.index_seconds + warm.stats.match_seconds;
+  const double cold_total =
+      cold.stats.index_seconds + cold.stats.device_match_seconds();
+  const double warm_total =
+      warm.stats.index_seconds + warm.stats.device_match_seconds();
   EXPECT_LT(warm_total, cold_total);
+}
+
+// --- Host routes -----------------------------------------------------------
+
+/// Runs `body` with tracing on and returns the spans it recorded.
+template <typename Fn>
+std::vector<obs::SpanEvent> traced(Fn&& body) {
+  obs::Registry& reg = obs::Registry::global();
+  reg.reset();
+  reg.set_enabled(true);
+  body();
+  reg.set_enabled(false);
+  std::vector<obs::SpanEvent> events = reg.trace().events();
+  reg.reset();
+  return events;
+}
+
+std::string string_attr(const obs::SpanEvent& ev, const std::string& key) {
+  for (const obs::Attr& a : ev.attrs) {
+    if (a.key == key) return std::get<std::string>(a.value);
+  }
+  return {};
+}
+
+/// The `route` attribute of the serve/request span of request `id`.
+std::string route_of(const std::vector<obs::SpanEvent>& events,
+                     const std::string& id) {
+  for (const obs::SpanEvent& ev : events) {
+    if (ev.name == "serve/request" && string_attr(ev, "id") == id) {
+      return string_attr(ev, "route");
+    }
+  }
+  return "<no serve/request span>";
+}
+
+TEST(MemServiceTest, LongMemRouteAdoptsArtifactSection) {
+  // With an attached artifact carrying kFmIndex, the lazy long-MEM route
+  // adopts the persisted FM index instead of rebuilding it, and answers
+  // exactly Engine::run's MEMs filtered at the request's L.
+  const auto ref = test_reference(2500, 93);
+  const auto query = derived_query(ref, 94);
+  ServiceConfig scfg;
+  scfg.engine = small_config();
+  scfg.lazy_lcp = true;
+  store::BuildOptions bopt;
+  bopt.fm_sa_sample = 4;
+  scfg.artifact = std::make_shared<const store::LoadedIndex>(
+      store::MappedArtifact::from_buffer(
+          store::build_artifact(ref, scfg.engine, bopt), "<test>"));
+  ASSERT_TRUE(scfg.artifact->has(store::SectionId::kFmIndex));
+
+  serve::QueryResult res;
+  const auto events = traced([&] {
+    MemService service(scfg, ref);
+    res = service.submit({"long", query, 0.0, 20}).get();
+  });
+  ASSERT_EQ(res.status, QueryStatus::kOk) << res.error;
+  auto expect = Engine(scfg.engine).run(ref, query).mems;
+  std::erase_if(expect, [](const mem::Mem& m) { return m.len < 20; });
+  ASSERT_FALSE(expect.empty());
+  EXPECT_EQ(res.mems, expect);
+  EXPECT_TRUE(res.stats.index_cache_hit);
+  EXPECT_EQ(route_of(events, "long"), "slamem-lazy");
+
+  std::size_t resident = 0;
+  for (const obs::SpanEvent& ev : events) {
+    if (ev.name != "index/resident-finder") continue;
+    ++resident;
+    EXPECT_EQ(string_attr(ev, "finder"), "slamem-lazy");
+    EXPECT_EQ(string_attr(ev, "source"), "fm-index");
+  }
+  EXPECT_EQ(resident, 1u);
+}
+
+TEST(MemServiceTest, HostRoutesTakeRequestsInThresholdOrder) {
+  // Both host routes on, long-MEM threshold above the engine's L: requests
+  // at or above the threshold go to the lazy finder, the rest to copMEM,
+  // and every reply is bit-identical to the device pool's. Only the device
+  // route runs the host merge.
+  const auto ref = test_reference(3000, 95);
+  const auto query = derived_query(ref, 96);
+  ServiceConfig device_cfg;
+  device_cfg.engine = small_config();  // engine L 12
+  ServiceConfig host_cfg = device_cfg;
+  host_cfg.copmem_fast_index = true;
+  host_cfg.lazy_lcp = true;
+  host_cfg.long_mem_threshold = 20;
+
+  const std::vector<std::uint32_t> lengths = {0, 16, 20, 28};
+  std::vector<serve::QueryResult> on_device, on_host;
+  const auto events = traced([&] {
+    MemService device(device_cfg, ref);
+    MemService host(host_cfg, ref);
+    for (const std::uint32_t L : lengths) {
+      const std::string id = "L" + std::to_string(L);
+      on_device.push_back(device.submit({"device-" + id, query, 0.0, L}).get());
+      on_host.push_back(host.submit({"host-" + id, query, 0.0, L}).get());
+    }
+  });
+
+  for (std::size_t i = 0; i < lengths.size(); ++i) {
+    const std::string id = "L" + std::to_string(lengths[i]);
+    ASSERT_EQ(on_device[i].status, QueryStatus::kOk) << on_device[i].error;
+    ASSERT_EQ(on_host[i].status, QueryStatus::kOk) << on_host[i].error;
+    EXPECT_FALSE(on_device[i].mems.empty()) << id;
+    EXPECT_EQ(on_host[i].mems, on_device[i].mems) << id;
+    EXPECT_EQ(route_of(events, "device-" + id), "device");
+    EXPECT_EQ(route_of(events, "host-" + id),
+              lengths[i] >= 20 ? "slamem-lazy" : "copmem");
+
+    std::size_t device_stitches = 0, host_stitches = 0;
+    for (const obs::SpanEvent& ev : events) {
+      if (ev.name != "stitch/host-merge") continue;
+      device_stitches += ev.trace_id == on_device[i].trace_id;
+      host_stitches += ev.trace_id == on_host[i].trace_id;
+    }
+    EXPECT_EQ(device_stitches, 1u) << id;
+    EXPECT_EQ(host_stitches, 0u) << id;
+  }
 }
 
 }  // namespace
