@@ -625,33 +625,38 @@ void Server::flush(Worker& w, const std::shared_ptr<Connection>& conn) {
     if (conn->closed) return;
     while (!conn->outbox.empty()) {
       Connection::OutMsg& msg = conn->outbox.front();
+      std::uint64_t& responses =  // guarded by stats_mu_
+          msg.is_error ? stats_.responses_error : stats_.responses_ok;
       while (msg.off < msg.bytes.size()) {
-        const ssize_t n =
-            ::send(conn->fd, msg.bytes.data() + msg.off,
-                   msg.bytes.size() - msg.off, MSG_NOSIGNAL);
+        // The peer can read a frame's last byte before send() returns, so
+        // the response is counted before every send that may complete it
+        // and taken back when that send falls short.
+        const std::size_t remaining = msg.bytes.size() - msg.off;
+        {
+          std::lock_guard slock(stats_mu_);
+          ++responses;
+        }
+        const ssize_t n = ::send(conn->fd, msg.bytes.data() + msg.off,
+                                 remaining, MSG_NOSIGNAL);
+        const int send_errno = errno;
+        {
+          std::lock_guard slock(stats_mu_);
+          if (n > 0) stats_.bytes_out += static_cast<std::uint64_t>(n);
+          if (n != static_cast<ssize_t>(remaining)) --responses;
+        }
         if (n > 0) {
           msg.off += static_cast<std::size_t>(n);
-          std::lock_guard slock(stats_mu_);
-          stats_.bytes_out += static_cast<std::uint64_t>(n);
           continue;
         }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        if (n < 0 && (send_errno == EAGAIN || send_errno == EWOULDBLOCK)) {
           return;  // kernel buffer full; EPOLLOUT edge resumes this flush
         }
-        if (n < 0 && errno == EINTR) continue;
+        if (n < 0 && send_errno == EINTR) continue;
         close_now = true;  // EPIPE/ECONNRESET: peer is gone
         break;
       }
       if (close_now) break;
-      // Frame fully handed to the kernel: account the response.
-      {
-        std::lock_guard slock(stats_mu_);
-        if (msg.is_error) {
-          ++stats_.responses_error;
-        } else {
-          ++stats_.responses_ok;
-        }
-      }
+      // Frame fully handed to the kernel (and counted above).
       if (msg.timed && obs::enabled()) {
         obs::Registry::global()
             .metrics()

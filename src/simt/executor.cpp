@@ -1,10 +1,17 @@
 #include "simt/executor.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <future>
+#include <mutex>
 #include <stdexcept>
 #include <vector>
 
 #include "obs/registry.h"
 #include "util/bits.h"
+#include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace gm::simt {
 namespace detail {
@@ -25,28 +32,19 @@ void check_block_dim(const DeviceSpec& spec, std::uint32_t block_dim) {
   }
 }
 
+void throw_divergent_collective() {
+  throw std::logic_error(
+      "run_block: divergent collective (threads suspended on different "
+      "barrier kinds)");
+}
+
 void finish_phase(const DeviceSpec& spec, std::vector<ThreadSlot>& slots,
-                  BlockResult& result) {
-  // Charge the phase (counters of finished threads included).
-  const CycleBreakdown terms = phase_cycle_terms(spec, slots);
+                  PhaseOp op, BlockResult& result) {
+  const CycleBreakdown terms = charge_phase(spec, slots, result.work);
   result.cycles += terms.total();
   result.cycle_terms += terms;
   ++result.phases;
-  for (const ThreadSlot& s : slots) result.work += s.phase;
 
-  // Execute the collective the live threads suspended on. Mixing barrier
-  // kinds within a block is a kernel bug (UB on real hardware); detect it.
-  PhaseOp op = PhaseOp::kNone;
-  for (const ThreadSlot& s : slots) {
-    if (s.done || s.pending == PhaseOp::kNone) continue;
-    if (op == PhaseOp::kNone) {
-      op = s.pending;
-    } else if (op != s.pending) {
-      throw std::logic_error(
-          "run_block: divergent collective (threads suspended on "
-          "different barrier kinds)");
-    }
-  }
   if (op == PhaseOp::kScan) {
     std::uint64_t running = 0;
     for (ThreadSlot& s : slots) {
@@ -67,6 +65,60 @@ void finish_phase(const DeviceSpec& spec, std::vector<ThreadSlot>& slots,
     result.cycles += scan_cycles;
     result.cycle_terms.shared += scan_cycles;
   }
+}
+
+GridRun run_grid(std::uint32_t grid,
+                 const std::function<void(std::uint32_t)>& run_one) {
+  GridRun run;
+  if (grid == 0) return run;
+  util::ThreadPool& pool = util::ThreadPool::global();
+  run.workers = static_cast<std::uint32_t>(
+      std::min<std::size_t>(pool.size(), grid));
+
+  std::atomic<std::uint32_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex mu;
+  std::exception_ptr first_error;   // guarded by mu
+  double longest = 0.0;             // guarded by mu
+  const auto claim_blocks = [&] {
+    double my_longest = 0.0;
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::uint32_t b = next.fetch_add(1, std::memory_order_relaxed);
+      if (b >= grid) break;
+      try {
+        const util::Timer timer;
+        run_one(b);
+        my_longest = std::max(my_longest, timer.seconds());
+      } catch (...) {
+        std::lock_guard lock(mu);
+        if (!first_error) first_error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
+      }
+    }
+    std::lock_guard lock(mu);
+    longest = std::max(longest, my_longest);
+  };
+
+  // The calling thread is one of the workers; the pool supplies the rest.
+  std::vector<std::future<void>> helpers;
+  helpers.reserve(run.workers - 1);
+  try {
+    for (std::uint32_t w = 1; w < run.workers; ++w) {
+      helpers.push_back(pool.submit(claim_blocks));
+    }
+  } catch (...) {
+    // Could not start every helper: stop the ones that did start and wait
+    // for them (they reference this frame) before reporting the failure.
+    failed.store(true, std::memory_order_relaxed);
+    for (std::future<void>& h : helpers) h.wait();
+    throw;
+  }
+  claim_blocks();
+  for (std::future<void>& h : helpers) h.wait();
+  for (std::future<void>& h : helpers) h.get();
+  if (first_error) std::rethrow_exception(first_error);
+  run.longest_block_seconds = longest;
+  return run;
 }
 
 }  // namespace detail

@@ -1,9 +1,21 @@
 // Kernel launch machinery: runs one coroutine per logical thread, drives
 // phases between barriers, executes collectives, charges the cost model,
 // and schedules blocks across host worker threads.
+//
+// Host scheduling: launch() runs a grid on min(pool size, grid) workers,
+// the calling thread plus tasks on the global pool, and each worker claims
+// the next unrun block index from a shared atomic counter until the grid is
+// exhausted. Live blocks often sit together (a short query fills only the
+// first blocks of a tile), so a fixed split of the grid would leave most
+// workers idle; claiming one block at a time keeps every worker busy until
+// the last block starts. Where a block runs never reaches its result:
+// results are stored by block index and folded in index order, so
+// LaunchStats and modeled time are bit-identical however the blocks were
+// placed.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -12,7 +24,6 @@
 #include "simt/device.h"
 #include "simt/kernel.h"
 #include "simt/perf_model.h"
-#include "util/parallel.h"
 
 namespace gm::simt {
 
@@ -55,11 +66,31 @@ BlockWorkspace& block_workspace();
 
 void check_block_dim(const DeviceSpec& spec, std::uint32_t block_dim);
 
-/// Charges the finished phase to the cost model and executes the collective
-/// the live threads suspended on (throws std::logic_error on divergent
-/// barrier kinds). The non-templated tail of run_block's phase loop.
+/// Throws the std::logic_error for live threads suspended on different
+/// barrier kinds (UB on real hardware, a kernel bug here).
+[[noreturn]] void throw_divergent_collective();
+
+/// Charges the finished phase to the cost model in one pass over the slots
+/// (clearing every slot's counters, so a thread that finished counts only
+/// in the phase it finished in), then executes collective `op`, the one
+/// every live thread suspended on. The non-templated tail of run_block's
+/// phase loop.
 void finish_phase(const DeviceSpec& spec, std::vector<ThreadSlot>& slots,
-                  BlockResult& result);
+                  PhaseOp op, BlockResult& result);
+
+/// What run_grid observed on the host (wall clock; never modeled time).
+struct GridRun {
+  std::uint32_t workers = 0;           ///< claiming workers, caller included
+  double longest_block_seconds = 0.0;  ///< wall time of the slowest block
+};
+
+/// Runs run_one(b) once for every block b in [0, grid) on min(pool size,
+/// grid) workers, the calling thread plus pool tasks, each claiming the
+/// next block index from a shared counter (a grid of 1 or a 1-thread pool
+/// runs inline). The first exception stops further claims, every worker is
+/// joined, and that exception is rethrown.
+GridRun run_grid(std::uint32_t grid,
+                 const std::function<void(std::uint32_t)>& run_one);
 
 }  // namespace detail
 
@@ -98,12 +129,15 @@ BlockResult run_block(const DeviceSpec& spec, std::uint32_t block_id,
 
     std::uint32_t alive = block_dim;
     while (alive > 0) {
-      // Run every live thread to its next suspension point.
+      // Run every live thread to its next suspension point, noting the
+      // collective it suspended on. Counters were cleared when the previous
+      // phase was charged.
+      PhaseOp op = PhaseOp::kNone;
+      bool divergent = false;
       for (std::uint32_t t = 0; t < block_dim; ++t) {
         ThreadSlot& slot = ws.slots[t];
         if (slot.done) continue;
         slot.pending = PhaseOp::kNone;
-        slot.phase = PhaseCounters{};
         auto handle = ws.tasks[t].handle();
         handle.resume();
         if (handle.done()) {
@@ -112,9 +146,14 @@ BlockResult run_block(const DeviceSpec& spec, std::uint32_t block_id,
           if (handle.promise().exception) {
             std::rethrow_exception(handle.promise().exception);
           }
+        } else if (op == PhaseOp::kNone) {
+          op = slot.pending;
+        } else if (slot.pending != op) {
+          divergent = true;
         }
       }
-      detail::finish_phase(spec, ws.slots, result);
+      if (divergent) detail::throw_divergent_collective();
+      detail::finish_phase(spec, ws.slots, op, result);
     }
   } catch (...) {
     cleanup();
@@ -135,28 +174,37 @@ std::size_t record_launch_span(const Device& dev, const LaunchConfig& cfg,
 /// Launches `fn(ctx, smem, args...)` over cfg.grid blocks of cfg.block
 /// threads. SharedT is default-constructed once per block (the shared
 /// memory). `fn` must be a plain function / stateless functor — a capturing
-/// lambda coroutine would dangle. Returns modeled device time and adds it to
-/// the device ledger.
+/// lambda coroutine would dangle. Blocks run on the host pool (see the top
+/// of this file); with obs on, the launch's host wall time is recorded as a
+/// `simt/launch` span next to its modeled kernel span. Returns modeled
+/// device time and adds it to the device ledger.
 template <typename SharedT, typename Fn, typename... Args>
 LaunchStats launch(Device& dev, const LaunchConfig& cfg, Fn&& fn,
                    Args&&... args) {
-  std::vector<double> block_cycles(cfg.grid, 0.0);
   std::vector<BlockResult> results(cfg.grid);
-  util::parallel_for_chunked(
-      0, cfg.grid, util::ThreadPool::global().size(),
-      [&](std::size_t b0, std::size_t b1) {
-        for (std::size_t b = b0; b < b1; ++b) {
-          SharedT smem{};
-          results[b] = run_block(dev.spec(), static_cast<std::uint32_t>(b),
-                                 cfg.grid, cfg.block,
-                                 [&](ThreadCtx& ctx) -> KernelTask {
-                                   return fn(ctx, smem, args...);
-                                 });
-          block_cycles[b] = results[b].cycles;
-        }
+  obs::Span wall_span("simt/launch", "simt");
+  const detail::GridRun run =
+      detail::run_grid(cfg.grid, [&](std::uint32_t b) {
+        SharedT smem{};
+        results[b] = run_block(dev.spec(), b, cfg.grid, cfg.block,
+                               [&](ThreadCtx& ctx) -> KernelTask {
+                                 return fn(ctx, smem, args...);
+                               });
       });
+  if (wall_span.armed()) {
+    wall_span.attr("label", cfg.label);
+    wall_span.attr("grid", std::uint64_t{cfg.grid});
+    wall_span.attr("block", std::uint64_t{cfg.block});
+    wall_span.attr("workers", std::uint64_t{run.workers});
+    wall_span.attr("longest_block_ms", run.longest_block_seconds * 1e3);
+    wall_span.finish();
+  }
+
   LaunchStats stats;
-  for (const BlockResult& r : results) {
+  std::vector<double> block_cycles(cfg.grid, 0.0);
+  for (std::uint32_t b = 0; b < cfg.grid; ++b) {
+    const BlockResult& r = results[b];
+    block_cycles[b] = r.cycles;
     stats.phases += r.phases;
     stats.work += r.work;
     stats.cycle_terms += r.cycle_terms;

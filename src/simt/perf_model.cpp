@@ -4,8 +4,13 @@
 
 namespace gm::simt {
 
-CycleBreakdown phase_cycle_terms(const DeviceSpec& spec,
-                                 std::span<const ThreadSlot> slots) {
+namespace {
+
+/// The per-phase formula of perf_model.h in one pass over `slots`, warp by
+/// warp: `visit(slot)` runs on each slot right after its counters are read.
+template <typename Slot, typename Visit>
+CycleBreakdown price_phase(const DeviceSpec& spec, std::span<Slot> slots,
+                           Visit&& visit) {
   const std::uint32_t warp = spec.warp_size;
   double compute = 0.0, shared = 0.0;
   std::uint64_t total_atomics = 0;
@@ -14,10 +19,12 @@ CycleBreakdown phase_cycle_terms(const DeviceSpec& spec,
     std::uint64_t warp_alu = 0, warp_shared = 0, warp_txn = 0;
     const std::size_t end = std::min(slots.size(), w + warp);
     for (std::size_t t = w; t < end; ++t) {
-      warp_alu = std::max(warp_alu, slots[t].phase.alu);
-      warp_shared = std::max(warp_shared, slots[t].phase.shared_ops);
-      warp_txn = std::max(warp_txn, slots[t].phase.txns);
-      total_atomics += slots[t].phase.atomics;
+      const PhaseCounters& c = slots[t].phase;
+      warp_alu = std::max(warp_alu, c.alu);
+      warp_shared = std::max(warp_shared, c.shared_ops);
+      warp_txn = std::max(warp_txn, c.txns);
+      total_atomics += c.atomics;
+      visit(slots[t]);
     }
     compute += static_cast<double>(warp_alu);
     shared += static_cast<double>(warp_shared);
@@ -32,6 +39,21 @@ CycleBreakdown phase_cycle_terms(const DeviceSpec& spec,
   terms.atomics = static_cast<double>(total_atomics) * spec.cycles_per_atomic;
   terms.barrier = spec.cycles_per_barrier;
   return terms;
+}
+
+}  // namespace
+
+CycleBreakdown phase_cycle_terms(const DeviceSpec& spec,
+                                 std::span<const ThreadSlot> slots) {
+  return price_phase(spec, slots, [](const ThreadSlot&) {});
+}
+
+CycleBreakdown charge_phase(const DeviceSpec& spec,
+                            std::span<ThreadSlot> slots, PhaseCounters& work) {
+  return price_phase(spec, slots, [&work](ThreadSlot& s) {
+    work += s.phase;
+    s.phase = PhaseCounters{};
+  });
 }
 
 double phase_cycles(const DeviceSpec& spec, std::span<const ThreadSlot> slots) {

@@ -70,6 +70,12 @@ struct CycleBreakdown {
 CycleBreakdown phase_cycle_terms(const DeviceSpec& spec,
                                  std::span<const ThreadSlot> slots);
 
+/// phase_cycle_terms(...) for a phase that just ended, in the same single
+/// pass that adds each slot's counters to `work` and clears them for the
+/// next phase.
+CycleBreakdown charge_phase(const DeviceSpec& spec,
+                            std::span<ThreadSlot> slots, PhaseCounters& work);
+
 /// Total cycles of the phase — phase_cycle_terms(...).total().
 double phase_cycles(const DeviceSpec& spec, std::span<const ThreadSlot> slots);
 
