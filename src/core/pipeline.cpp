@@ -1,7 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -20,7 +19,6 @@
 #include "simt/buffer.h"
 #include "simt/stream.h"
 #include "util/bits.h"
-#include "util/parallel.h"
 #include "util/timer.h"
 
 namespace gm::core {
@@ -251,16 +249,21 @@ Result Engine::run(const seq::Sequence& ref, const seq::Sequence& query) const {
 
 Engine::NativeIndex Engine::build_native_index(const seq::Sequence& ref) const {
   const Config::Geometry g = cfg_.validated();
+  if (cfg_.observe) obs::Registry::global().set_enabled(true);
+  obs::Span span("index/build-native", "index");
   NativeIndex out;
   util::Timer timer;
   const std::uint32_t n_r = tile_count(ref.size(), g.tile_len);
   out.rows.reserve(n_r);
+  std::uint64_t bytes = 0;
   for (std::uint32_t row = 0; row < n_r; ++row) {
     const std::size_t r0 = std::size_t{row} * g.tile_len;
     const std::size_t r1 = std::min(ref.size(), r0 + g.tile_len);
-    out.rows.emplace_back(ref, r0, r1, cfg_.seed_len, g.step);
+    bytes += out.rows.emplace_back(ref, r0, r1, cfg_.seed_len, g.step).bytes();
   }
   out.build_seconds = timer.seconds();
+  span.attr("rows", std::uint64_t{n_r});
+  span.attr("bytes", bytes);
   return out;
 }
 
@@ -696,6 +699,48 @@ void run_rows_overlapped(const Config& cfg, simt::Device& dev,
   }
 }
 
+/// The native backend's match over one tile: seeds every query position of
+/// `tile` against its row index and expands each hit that starts a chain
+/// (chain-interior hits are skipped, so each in-tile chain is expanded
+/// exactly once: the invariant the device combine establishes). MEMs
+/// touching the tile edge go to `out_sink`, in-tile ones of at least
+/// `min_length` to `in_sink`; returns how many went to `in_sink`.
+std::size_t scan_native_tile(const index::KmerIndex& idx,
+                             const seq::Sequence& query,
+                             const seq::PackedSeq& pref,
+                             const seq::PackedSeq& pquery, const Rect& tile,
+                             std::uint32_t step, std::uint32_t min_length,
+                             std::vector<mem::Mem>& in_sink,
+                             std::vector<mem::Mem>& out_sink) {
+  const unsigned k = idx.seed_len();
+  const std::size_t in_before = in_sink.size();
+  std::uint64_t seed = 0;
+  for (std::size_t j = tile.q0; j < tile.q1; ++j) {
+    if (j + k > query.size()) break;
+    // Roll the seed one base along rather than regather it.
+    seed = j == tile.q0 ? query.kmer(j, k)
+                        : seed >> 2 | std::uint64_t{query.base(j + k - 1)}
+                                          << (2 * k - 2);
+    for (const std::uint32_t p : idx.lookup(seed)) {
+      const std::size_t back_room =
+          std::min<std::size_t>(p - tile.r0, j - tile.q0);
+      std::size_t back = 0;
+      if (p > 0 && j > 0) {
+        back = pref.lce_backward(p - 1, pquery, j - 1, back_room);
+      }
+      if (back >= step) continue;  // chain-interior hit
+      const mem::Mem e = expand_clamped(
+          pref, pquery, mem::Mem{p, static_cast<std::uint32_t>(j), k}, tile);
+      if (touches_edge(e, tile)) {
+        out_sink.push_back(e);
+      } else if (e.len >= min_length) {
+        in_sink.push_back(e);
+      }
+    }
+  }
+  return in_sink.size() - in_before;
+}
+
 }  // namespace
 
 Result Engine::run_simt_cached(simt::Device& dev, const seq::Sequence& ref,
@@ -872,48 +917,11 @@ Result Engine::run_native(const seq::Sequence& ref,
           std::min<std::size_t>(query.size(), c0 + std::size_t{g.tile_len}));
       const Rect tile{r0, r1, c0, c1};
 
-      // Parallel over query chunks; chain-interior hits are skipped so each
-      // in-tile chain is expanded exactly once (same invariant the device
-      // combine establishes).
-      const std::size_t workers = util::ThreadPool::global().size();
-      std::vector<std::vector<mem::Mem>> local_in(workers + 1);
-      std::vector<std::vector<mem::Mem>> local_out(workers + 1);
-      std::atomic<std::size_t> chunk_id{0};
-      util::parallel_for_chunked(
-          c0, c1, workers, [&](std::size_t jb, std::size_t je) {
-            const std::size_t my = chunk_id.fetch_add(1);
-            std::vector<mem::Mem>& in_sink = local_in[my];
-            std::vector<mem::Mem>& out_sink = local_out[my];
-            for (std::size_t j = jb; j < je; ++j) {
-              if (j + cfg_.seed_len > query.size()) break;
-              const std::uint64_t seed = query.kmer(j, cfg_.seed_len);
-              for (const std::uint32_t p : idx.lookup(seed)) {
-                const std::size_t back_room =
-                    std::min<std::size_t>(p - tile.r0, j - tile.q0);
-                std::size_t back = 0;
-                if (p > 0 && j > 0) {
-                  back = pref.lce_backward(p - 1, pquery, j - 1, back_room);
-                }
-                if (back >= g.step) continue;  // chain-interior hit
-                const mem::Mem e = expand_clamped(
-                    pref, pquery,
-                    mem::Mem{p, static_cast<std::uint32_t>(j), cfg_.seed_len},
-                    tile);
-                if (touches_edge(e, tile)) {
-                  out_sink.push_back(e);
-                } else if (e.len >= cfg_.min_length) {
-                  in_sink.push_back(e);
-                }
-              }
-            }
-          });
-      for (auto& v : local_in) {
-        result.stats.intile_mems += v.size();
-        reported.insert(reported.end(), v.begin(), v.end());
-      }
-      for (auto& v : local_out) {
-        outtile_pieces.insert(outtile_pieces.end(), v.begin(), v.end());
-      }
+      // On the calling thread: a fork-join per tile made the time of one
+      // comparison follow the number of idle cores on a shared host.
+      result.stats.intile_mems += scan_native_tile(
+          idx, query, pref, pquery, tile, g.step, cfg_.min_length, reported,
+          outtile_pieces);
     }
     result.stats.match_seconds += match_timer.seconds();
   }

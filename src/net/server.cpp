@@ -383,8 +383,10 @@ void Server::process_frame(Worker& w, const std::shared_ptr<Connection>& conn,
       QueryFrame qf;
       std::string perr;
       if (!parse_query(frame.payload, qf, perr)) {
-        std::lock_guard lock(stats_mu_);
-        ++stats_.malformed;
+        {
+          std::lock_guard lock(stats_mu_);
+          ++stats_.malformed;
+        }
         ErrorFrame e;
         e.code = ErrorCode::kMalformed;
         e.message = std::move(perr);
@@ -400,8 +402,10 @@ void Server::process_frame(Worker& w, const std::shared_ptr<Connection>& conn,
     case FrameType::kError:
     case FrameType::kPong: {
       // Server-to-client types arriving at the server are a protocol error.
-      std::lock_guard lock(stats_mu_);
-      ++stats_.malformed;
+      {
+        std::lock_guard lock(stats_mu_);
+        ++stats_.malformed;
+      }
       ErrorFrame e;
       e.code = ErrorCode::kBadType;
       e.message = std::string("unexpected client frame type ") +
@@ -588,6 +592,9 @@ void Server::handle_query(Worker& w, const std::shared_ptr<Connection>& conn,
         // reference, dropping it here would make ~MemService join the very
         // thread we are on — so park it for the acceptor thread instead.
         self->retire(std::move(keepalive));
+        // Under drain_mu_: shutdown() cannot see the count reach 0 until
+        // this notify is done, so ~Server never destroys drain_cv_ under it.
+        std::lock_guard lock(self->drain_mu_);
         self->inflight_.fetch_sub(1);
         self->drain_cv_.notify_all();
       });

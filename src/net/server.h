@@ -180,6 +180,8 @@ class Server {
   std::mutex retired_mu_;
   std::vector<std::shared_ptr<serve::Tenant>> retired_;
 
+  /// Guards stats_. Held only around counter updates: never while taking
+  /// a Connection::mu (flush takes stats_mu_ under it) or calling out.
   mutable std::mutex stats_mu_;
   NetStats stats_;
   std::atomic<std::uint64_t> inflight_{0};

@@ -37,16 +37,13 @@ Sequence Sequence::from_string_lenient(std::string_view s) {
 }
 
 Sequence Sequence::from_codes(const std::vector<std::uint8_t>& codes) {
-  Sequence seq;
-  seq.reserve(codes.size());
-  for (std::uint8_t b : codes) {
-    if (b == kInvalidBase) {
-      seq.push_back_invalid();
-      continue;
+  for (const std::uint8_t b : codes) {
+    if (b > 3 && b != kInvalidBase) {
+      throw std::invalid_argument("Sequence::from_codes: code > 3");
     }
-    if (b > 3) throw std::invalid_argument("Sequence::from_codes: code > 3");
-    seq.push_back(b);
   }
+  Sequence seq;
+  seq.append_codes(codes);
   return seq;
 }
 
@@ -102,10 +99,55 @@ void Sequence::push_back(std::uint8_t code) {
 void Sequence::push_back_invalid() {
   const std::size_t pos = size_;
   push_back(0);
+  mark_invalid(pos);
+}
+
+void Sequence::mark_invalid(std::size_t pos) {
   const std::size_t word = pos >> 6;
   if (word >= invalid_mask_.size()) invalid_mask_.resize(word + 1, 0);
   invalid_mask_[word] |= std::uint64_t{1} << (pos & 63);
   ++invalid_count_;
+}
+
+void Sequence::append_codes(std::span<const std::uint8_t> codes) {
+  if (codes.size() > std::numeric_limits<Pos>::max() - size_) {
+    throw std::length_error("Sequence: > 2^32 - 1 bases unsupported");
+  }
+  std::size_t pos = size_;
+  words_.resize((pos + codes.size() + 31) / 32, 0);
+  const std::uint8_t* c = codes.data();
+  const std::uint8_t* const end = c + codes.size();
+  // Tail bits past size() are zero, so words are ORed into, never cleared.
+  const auto pack_one = [&] {
+    std::uint8_t code = *c++;
+    if (code == kInvalidBase) {
+      mark_invalid(pos);
+      code = 0;
+    }
+    words_[pos >> 5] |= std::uint64_t{code} << ((pos & 31) * 2);
+    ++pos;
+  };
+  while (c != end && (pos & 31) != 0) pack_one();
+  // Whole words: 32 codes with no branch per base (valid codes never have
+  // bit 2 set, kInvalidBase does); a word holding an invalid base redoes
+  // its codes one at a time.
+  while (end - c >= 32) {
+    std::uint64_t word = 0;
+    std::uint8_t any = 0;
+    for (unsigned i = 0; i < 32; ++i) {
+      word |= std::uint64_t{c[i] & 3u} << (2 * i);
+      any |= c[i];
+    }
+    if ((any & 4) != 0) {
+      for (unsigned i = 0; i < 32; ++i) pack_one();
+      continue;
+    }
+    words_[pos >> 5] = word;
+    pos += 32;
+    c += 32;
+  }
+  while (c != end) pack_one();
+  size_ = pos;
 }
 
 void Sequence::append(const Sequence& other, std::size_t pos, std::size_t len) {

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -64,6 +65,10 @@ class Sequence {
   /// Appends an invalid (masked) position; it is stored with code 0 so the
   /// packed words stay well-formed for window64/kmer readers.
   void push_back_invalid();
+  /// Appends 2-bit codes in bulk, packing whole words at a time; a
+  /// kInvalidBase entry appends an invalid (masked) position. Codes must be
+  /// 0..3 or kInvalidBase.
+  void append_codes(std::span<const std::uint8_t> codes);
   void append(const Sequence& other, std::size_t pos, std::size_t len);
   void reserve(std::size_t bases) { words_.reserve((bases + 31) / 32 + 1); }
 
@@ -136,6 +141,9 @@ class Sequence {
   bool operator==(const Sequence& other) const noexcept;
 
  private:
+  /// Sets the invalid bit of position `pos` (already appended as code 0).
+  void mark_invalid(std::size_t pos);
+
   std::vector<std::uint64_t> words_;
   /// One bit per base (bit set = invalid); empty until the first invalid
   /// base arrives, then sized lazily to cover it.

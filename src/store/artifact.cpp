@@ -168,11 +168,12 @@ std::vector<std::uint8_t> build_artifact(const seq::Sequence& ref,
   std::vector<std::uint32_t> all_locs;
   for (std::size_t r = 0; r < native.rows.size(); ++r) {
     const index::KmerIndex& row = native.rows[r];
+    const std::vector<std::uint32_t> ptrs = row.dense_ptrs();
     row_table[r].ptrs_offset = all_ptrs.size();
-    row_table[r].ptrs_count = row.ptrs().size();
+    row_table[r].ptrs_count = ptrs.size();
     row_table[r].locs_offset = all_locs.size();
     row_table[r].locs_count = row.locs().size();
-    all_ptrs.insert(all_ptrs.end(), row.ptrs().begin(), row.ptrs().end());
+    all_ptrs.insert(all_ptrs.end(), ptrs.begin(), ptrs.end());
     all_locs.insert(all_locs.end(), row.locs().begin(), row.locs().end());
   }
   writer.add_section(SectionId::kKmerRowTable,
@@ -204,11 +205,12 @@ std::vector<std::uint8_t> build_artifact(const seq::Sequence& ref,
   if (opt.copmem_step != 0) {
     const index::KmerIndex cop(ref, 0, ref.size(), cfg.seed_len,
                                opt.copmem_step);
+    const std::vector<std::uint32_t> ptrs = cop.dense_ptrs();
     std::vector<std::uint32_t> payload;
-    payload.reserve(2 + cop.ptrs().size() + cop.locs().size());
+    payload.reserve(2 + ptrs.size() + cop.locs().size());
     payload.push_back(cop.seed_len());
     payload.push_back(cop.step());
-    payload.insert(payload.end(), cop.ptrs().begin(), cop.ptrs().end());
+    payload.insert(payload.end(), ptrs.begin(), ptrs.end());
     payload.insert(payload.end(), cop.locs().begin(), cop.locs().end());
     writer.add_section(SectionId::kCopmemIndex,
                        std::span<const std::uint32_t>(payload));

@@ -1,5 +1,6 @@
 #include "store/loaded_index.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -106,17 +107,19 @@ LoadedIndex::RowSpans LoadedIndex::row(std::uint32_t row) const {
 
 core::Engine::NativeIndex LoadedIndex::native_index() const {
   obs::Span span("store.native_index", "store");
+  const ArtifactHeader& h = header();
   core::Engine::NativeIndex out;
   out.rows.reserve(row_table_.size());
   for (std::uint32_t r = 0; r < row_table_.size(); ++r) {
     const RowSpans s = row(r);
+    const std::size_t r0 = std::size_t{r} * h.tile_len;
     try {
       out.rows.emplace_back(
-          header().seed_len, header().step,
-          std::vector<std::uint32_t>(s.ptrs.begin(), s.ptrs.end()),
+          ref_, r0, std::min<std::size_t>(ref_.size(), r0 + h.tile_len),
+          h.seed_len, h.step, s.ptrs,
           std::vector<std::uint32_t>(s.locs.begin(), s.locs.end()));
     } catch (const std::invalid_argument& e) {
-      throw StoreError(artifact_.path(), SectionId::kKmerPtrs,
+      throw StoreError(artifact_.path(), SectionId::kKmerLocs,
                        "row " + std::to_string(r) + ": " + e.what());
     }
   }
@@ -161,7 +164,7 @@ index::KmerIndex LoadedIndex::copmem_index() const {
   const auto locs = arr.subspan(2 + want_ptrs);
   try {
     return index::KmerIndex(
-        seed_len, step, std::vector<std::uint32_t>(ptrs.begin(), ptrs.end()),
+        ref_, 0, ref_.size(), seed_len, step, ptrs,
         std::vector<std::uint32_t>(locs.begin(), locs.end()));
   } catch (const std::invalid_argument& e) {
     throw StoreError(artifact_.path(), SectionId::kCopmemIndex, e.what());

@@ -50,9 +50,12 @@ class LoadedIndex {
   RowSpans row(std::uint32_t row) const;
 
   /// Rebuilds the native-backend prebuilt index (Engine::run_native_prebuilt)
-  /// from the row directory. build_seconds is 0 — the cost lives in the
-  /// artifact. Bit-identical to Engine::build_native_index on the same
-  /// reference and geometry by construction of the writer.
+  /// from the row directory, compacting each dense row and checking its
+  /// locs against the reference (KmerIndex's adopting constructor); a row
+  /// that fails is a StoreError naming kmer-locs and the row. build_seconds
+  /// is 0 — the cost lives in the artifact. Bit-identical to
+  /// Engine::build_native_index on the same reference and geometry by
+  /// construction of the writer.
   core::Engine::NativeIndex native_index() const;
 
   bool has(SectionId id) const noexcept { return artifact_.has_section(id); }
@@ -62,8 +65,9 @@ class LoadedIndex {
   std::span<const std::uint32_t> lcp() const;
   std::span<const std::uint32_t> sparse_sa() const;
   index::FmIndex fm_index() const;
-  /// The copMEM sampled index (kCopmemIndex), rebuilt by value. Throws
-  /// StoreError when absent or malformed.
+  /// The copMEM sampled index (kCopmemIndex), rebuilt by value with the
+  /// same content checks as native_index(). Throws StoreError when absent
+  /// or malformed.
   index::KmerIndex copmem_index() const;
 
   /// True when `cfg`'s resolved geometry matches what the artifact was

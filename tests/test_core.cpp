@@ -377,8 +377,9 @@ TEST(IndexKernels, MatchesHostKmerIndex) {
     const index::KmerIndex hidx(ref, 0, ref.size(), seed_len, step);
     ASSERT_EQ(didx.n_locs, hidx.locs().size());
     // ptrs must match after the shift convention, and locs exactly.
-    for (std::size_t s = 0; s < hidx.ptrs().size(); ++s) {
-      ASSERT_EQ(didx.ptrs[s], hidx.ptrs()[s]) << "seed " << s;
+    const std::vector<std::uint32_t> hptrs = hidx.dense_ptrs();
+    for (std::size_t s = 0; s < hptrs.size(); ++s) {
+      ASSERT_EQ(didx.ptrs[s], hptrs[s]) << "seed " << s;
     }
     for (std::size_t i = 0; i < hidx.locs().size(); ++i) {
       ASSERT_EQ(didx.locs[i], hidx.locs()[i]) << "loc " << i;

@@ -1,6 +1,8 @@
 // Sparse SA interval search, ESA descent, FM-index, and k-mer index tests.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "index/esa.h"
 #include "index/fm_index.h"
 #include "index/lcp.h"
@@ -9,6 +11,7 @@
 #include "index/sparse_suffix_array.h"
 #include "index/suffix_array.h"
 #include "seq/synthetic.h"
+#include "util/bits.h"
 #include "util/rng.h"
 
 namespace gm {
@@ -290,8 +293,9 @@ TEST(KmerIndex, RangeRestrictionUsesGlobalGrid) {
     EXPECT_LT(p, 667u);
   }
   // Buckets are sorted.
-  for (std::size_t s = 0; s + 1 < idx.ptrs().size(); ++s) {
-    for (std::uint32_t i = idx.ptrs()[s] + 1; i < idx.ptrs()[s + 1]; ++i) {
+  const std::vector<std::uint32_t> ptrs = idx.dense_ptrs();
+  for (std::size_t s = 0; s + 1 < ptrs.size(); ++s) {
+    for (std::uint32_t i = ptrs[s] + 1; i < ptrs[s + 1]; ++i) {
       EXPECT_LT(idx.locs()[i - 1], idx.locs()[i]);
     }
   }
@@ -304,6 +308,183 @@ TEST(KmerIndex, OccurrenceHistogramTotals) {
   std::uint64_t weighted = 0;
   for (const auto& [occ, count] : hist.bins()) weighted += occ * count;
   EXPECT_EQ(weighted, idx.locs().size());
+}
+
+// Brute force for the compact index: every lattice position of
+// [start, end) grouped by seed, in seed order then position order.
+std::map<std::uint64_t, std::vector<std::uint32_t>> brute_buckets(
+    const seq::Sequence& ref, std::size_t start, std::size_t end,
+    unsigned seed_len, std::uint32_t step) {
+  std::map<std::uint64_t, std::vector<std::uint32_t>> out;
+  for (std::size_t p = 0; p < std::min(end, ref.size()); p += step) {
+    if (p >= start && p + seed_len <= ref.size()) {
+      out[ref.kmer(p, seed_len)].push_back(static_cast<std::uint32_t>(p));
+    }
+  }
+  return out;
+}
+
+/// lookup() of every key in `keys` equals the brute-force bucket (empty for
+/// keys the brute force never saw).
+void expect_lookups(
+    const index::KmerIndex& idx,
+    const std::map<std::uint64_t, std::vector<std::uint32_t>>& want,
+    const std::vector<std::uint64_t>& keys) {
+  for (const std::uint64_t key : keys) {
+    const auto it = want.find(key);
+    const std::vector<std::uint32_t> expect =
+        it == want.end() ? std::vector<std::uint32_t>{} : it->second;
+    const auto got = idx.lookup(key);
+    ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), expect)
+        << "seed_len " << idx.seed_len() << " step " << idx.step()
+        << " key " << key;
+    ASSERT_EQ(idx.occurrences(key), expect.size());
+  }
+}
+
+TEST(KmerIndex, CompactLayoutMatchesBruteForce) {
+  // Random bases with N runs, a poly-A and a poly-T run (seeds 0 and
+  // 4^ls - 1 present, and directory slots holding many keys), and a C/G-only
+  // reference where seeds 0 and 4^ls - 1 are absent at every ls.
+  std::string text = random_seq(6000, 19).to_string();
+  text.replace(700, 40, std::string(40, 'A'));
+  text.replace(2100, 40, std::string(40, 'T'));
+  text.replace(3000, 25, std::string(25, 'N'));
+  text[4444] = 'n';
+  const seq::Sequence mixed = seq::Sequence::from_string_lenient(text);
+  std::string cg_text(3000, 'C');
+  util::Xoshiro256 cg_rng(20);
+  for (char& c : cg_text) c = cg_rng.bounded(2) != 0 ? 'G' : 'C';
+  const seq::Sequence cg_only = seq::Sequence::from_string(cg_text);
+
+  for (const seq::Sequence* ref : {&mixed, &cg_only}) {
+    const std::size_t n = ref->size();
+    // Whole reference, a range starting off the lattice and running to the
+    // reference end, and an empty range.
+    const std::vector<std::pair<std::size_t, std::size_t>> ranges{
+        {0, n}, {13, n}, {1000, 1000}};
+    for (const unsigned seed_len : {1u, 5u, 8u, 9u, 13u, 16u}) {
+      const std::uint64_t top = (std::uint64_t{1} << (2 * seed_len)) - 1;
+      for (const std::uint32_t step : {1u, 7u, 38u}) {
+        for (const auto& [start, end] : ranges) {
+          const index::KmerIndex idx(*ref, start, end, seed_len, step);
+          const auto want = brute_buckets(*ref, start, end, seed_len, step);
+          std::vector<std::uint32_t> want_locs;
+          std::vector<std::uint64_t> keys{0, top};
+          for (const auto& [key, locs] : want) {
+            want_locs.insert(want_locs.end(), locs.begin(), locs.end());
+            keys.push_back(key);
+            if (key + 1 <= top) keys.push_back(key + 1);  // often absent
+          }
+          ASSERT_EQ(idx.locs(), want_locs);
+          if (ref == &cg_only) {
+            ASSERT_TRUE(idx.lookup(0).empty());
+            ASSERT_TRUE(idx.lookup(top).empty());
+          }
+          if (seed_len <= 9) {
+            // Small tables: every seed, and the dense table entry by entry.
+            keys.clear();
+            for (std::uint64_t key = 0; key <= top; ++key) keys.push_back(key);
+            std::vector<std::uint32_t> want_ptrs(top + 2, 0);
+            for (const auto& [key, locs] : want) want_ptrs[key + 1] = locs.size();
+            for (std::size_t s = 1; s < want_ptrs.size(); ++s) {
+              want_ptrs[s] += want_ptrs[s - 1];
+            }
+            ASSERT_EQ(idx.dense_ptrs(), want_ptrs);
+          }
+          expect_lookups(idx, want, keys);
+          const util::Histogram hist = idx.occurrence_histogram();
+          std::uint64_t weighted = 0;
+          for (const auto& [occ, count] : hist.bins()) weighted += occ * count;
+          ASSERT_EQ(weighted, want_locs.size());
+        }
+      }
+    }
+  }
+}
+
+TEST(KmerIndex, DensePtrsAtSeedLen13MatchBruteForce) {
+  // One full 4^13 + 1 table (dense_ptrs() at ls = 16 would be 16 GiB, so
+  // that seed length is checked through lookup() above).
+  const seq::Sequence ref = random_seq(20000, 21);
+  const index::KmerIndex idx(ref, 5, ref.size(), 13, 7);
+  const auto want = brute_buckets(ref, 5, ref.size(), 13, 7);
+  const std::vector<std::uint32_t> ptrs = idx.dense_ptrs();
+  ASSERT_EQ(ptrs.size(), (std::size_t{1} << 26) + 1);
+  std::uint32_t at = 0;
+  auto next = want.begin();
+  for (std::size_t s = 0; s + 1 < ptrs.size(); ++s) {
+    ASSERT_EQ(ptrs[s], at) << "seed " << s;
+    if (next != want.end() && next->first == s) {
+      at += static_cast<std::uint32_t>(next->second.size());
+      ++next;
+    }
+  }
+  EXPECT_EQ(ptrs.back(), idx.locs().size());
+}
+
+TEST(KmerIndex, BytesBoundedBySampledSeeds) {
+  // A structural bound, not a timing one: the index is sized to the
+  // sampled seeds, never to 4^ls.
+  const seq::Sequence ref = random_seq(200000, 22);
+  for (const unsigned seed_len : {13u, 16u}) {
+    for (const std::uint32_t step : {1u, 38u}) {
+      const index::KmerIndex idx(ref, 0, ref.size(), seed_len, step);
+      const std::uint64_t sampled = idx.locs().size();
+      const std::uint64_t bound =
+          16 * sampled + 4 * util::ceil_pow2(sampled) + 64;
+      EXPECT_LE(idx.bytes(), bound)
+          << "seed_len " << seed_len << " step " << step;
+    }
+  }
+}
+
+TEST(KmerIndex, AdoptingDenseArraysChecksTheirContents) {
+  const seq::Sequence ref = random_seq(3000, 23);
+  const std::size_t start = 500, end = 2000;
+  const index::KmerIndex built(ref, start, end, 4, 7);
+  const std::vector<std::uint32_t> ptrs = built.dense_ptrs();
+  const auto adopt = [&](std::vector<std::uint32_t> locs,
+                         std::size_t row_end) {
+    return index::KmerIndex(ref, start, row_end, 4, 7, ptrs, std::move(locs));
+  };
+
+  const index::KmerIndex same = adopt(built.locs(), end);
+  EXPECT_EQ(same.locs(), built.locs());
+  EXPECT_EQ(same.dense_ptrs(), ptrs);
+  EXPECT_EQ(same.bytes(), built.bytes());
+
+  const auto expect_bad = [&](std::vector<std::uint32_t> locs,
+                              const std::string& why,
+                              std::size_t row_end) {
+    try {
+      adopt(std::move(locs), row_end);
+      FAIL() << "accepted: " << why;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  };
+  // The first bucket with two or more locs, to reorder it.
+  std::size_t multi = 0;
+  while (multi + 1 < ptrs.size() && ptrs[multi + 1] - ptrs[multi] < 2) {
+    ++multi;
+  }
+  ASSERT_LT(multi + 1, ptrs.size());
+  auto locs = built.locs();
+  locs[0] = static_cast<std::uint32_t>(ref.size() + 5);
+  expect_bad(locs, "outside the sampled range", end);
+  locs = built.locs();
+  locs[0] += 1;
+  expect_bad(locs, "off the step lattice", end);
+  locs = built.locs();
+  std::swap(locs[0], locs.back());
+  expect_bad(locs, "different seed", end);
+  locs = built.locs();
+  std::swap(locs[ptrs[multi]], locs[ptrs[multi] + 1]);
+  expect_bad(locs, "ascend", end);
+  // Right shape and contents, but for a shorter row: a count mismatch.
+  expect_bad(built.locs(), "sampled positions", end - 100);
 }
 
 TEST(KmerIndex, RejectsBadParameters) {

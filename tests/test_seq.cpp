@@ -1,6 +1,7 @@
 // Sequence, FASTA, and synthetic-genome tests.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <fstream>
 #include <sstream>
 
@@ -225,6 +226,143 @@ TEST(Fasta, RandomizePolicyIsDeterministic) {
 TEST(Fasta, DataBeforeHeaderThrows) {
   std::istringstream is("ACGT\n");
   EXPECT_THROW(seq::read_fasta(is), std::runtime_error);
+}
+
+/// The per-base FASTA loop read_fasta used before it encoded whole lines
+/// through a table: kept here as the reference the bulk parser must equal.
+std::vector<seq::FastaRecord> read_fasta_per_base(std::istream& in,
+                                                  seq::NonAcgtPolicy policy) {
+  std::vector<seq::FastaRecord> records;
+  std::string line;
+  util::Xoshiro256 rng(0x5EEDFA57Aull);
+  while (std::getline(in, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();
+    if (line.empty()) continue;
+    if (line[0] == '>') {
+      records.push_back({});
+      records.back().name = line.substr(1);
+      rng = util::Xoshiro256(0x5EEDFA57Aull + records.size());
+      continue;
+    }
+    if (line[0] == ';') continue;
+    if (records.empty()) throw std::runtime_error("data before header");
+    seq::FastaRecord& rec = records.back();
+    for (char c : line) {
+      if (std::isspace(static_cast<unsigned char>(c))) continue;
+      const std::uint8_t b = seq::encode_base(c);
+      if (b != seq::kInvalidBase) {
+        rec.sequence.push_back(b);
+        continue;
+      }
+      ++rec.non_acgt;
+      switch (policy) {
+        case seq::NonAcgtPolicy::kMask:
+          rec.sequence.push_back_invalid();
+          break;
+        case seq::NonAcgtPolicy::kReject:
+          throw std::runtime_error(
+              std::string("read_fasta: non-ACGT character '") + c +
+              "' in record " + rec.name);
+        case seq::NonAcgtPolicy::kRandomize:
+          rec.sequence.push_back(static_cast<std::uint8_t>(rng.bounded(4)));
+          break;
+        case seq::NonAcgtPolicy::kSkip:
+          break;
+      }
+    }
+  }
+  return records;
+}
+
+TEST(Fasta, BulkParseMatchesPerBaseReference) {
+  // Random FASTA texts mixing everything the reader must get right: upper
+  // and lower case, N runs and IUPAC codes, bytes >= 0x80, CRLF, `;`
+  // comments, empty lines and records, and whitespace inside lines, with
+  // line lengths that straddle the 32-base packing words.
+  const std::string alphabet = "ACGTacgtACGTacgtNnRYkm-*\x80\xff \t\v\f\r";
+  util::Xoshiro256 rng(77);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::string text;
+    const int records = 1 + static_cast<int>(rng.bounded(4));
+    for (int r = 0; r < records; ++r) {
+      text += ">rec" + std::to_string(r) + (rng.bounded(2) ? " desc\r\n" : "\n");
+      const int lines = static_cast<int>(rng.bounded(6));
+      for (int l = 0; l < lines; ++l) {
+        if (rng.bounded(8) == 0) text += ";comment\n";
+        if (rng.bounded(8) == 0) text += "\n";
+        const std::size_t len = rng.bounded(100);
+        // Mostly clean bases, sometimes any character of the alphabet.
+        const bool noisy = rng.bounded(2) != 0;
+        for (std::size_t i = 0; i < len; ++i) {
+          text += alphabet[rng.bounded(noisy ? alphabet.size() : 8)];
+        }
+        text += rng.bounded(3) == 0 ? "\r\n" : "\n";
+      }
+    }
+    if (rng.bounded(2) != 0) text += "ACGT";  // last line without newline
+    for (const auto policy :
+         {seq::NonAcgtPolicy::kMask, seq::NonAcgtPolicy::kReject,
+          seq::NonAcgtPolicy::kRandomize, seq::NonAcgtPolicy::kSkip}) {
+      std::istringstream a(text), b(text);
+      std::vector<seq::FastaRecord> got, want;
+      std::string got_err, want_err;
+      try {
+        got = seq::read_fasta(a, policy);
+      } catch (const std::runtime_error& e) {
+        got_err = e.what();
+      }
+      try {
+        want = read_fasta_per_base(b, policy);
+      } catch (const std::runtime_error& e) {
+        want_err = e.what();
+      }
+      ASSERT_EQ(got_err, want_err) << "trial " << trial;
+      ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+      for (std::size_t r = 0; r < got.size(); ++r) {
+        EXPECT_EQ(got[r].name, want[r].name);
+        EXPECT_EQ(got[r].non_acgt, want[r].non_acgt);
+        EXPECT_EQ(got[r].sequence.size(), want[r].sequence.size());
+        EXPECT_EQ(got[r].sequence.packed_words(),
+                  want[r].sequence.packed_words())
+            << "trial " << trial << " record " << r;
+        EXPECT_EQ(got[r].sequence.invalid_words(),
+                  want[r].sequence.invalid_words())
+            << "trial " << trial << " record " << r;
+        EXPECT_EQ(got[r].sequence.invalid_count(),
+                  want[r].sequence.invalid_count());
+      }
+    }
+  }
+}
+
+TEST(Sequence, AppendCodesMatchesPushBack) {
+  // Bulk appends in chunks of every alignment equal base-by-base pushes,
+  // word for word, mask included.
+  util::Xoshiro256 rng(78);
+  std::vector<std::uint8_t> codes(1000);
+  for (auto& c : codes) {
+    c = rng.bounded(10) == 0 ? seq::kInvalidBase
+                             : static_cast<std::uint8_t>(rng.bounded(4));
+  }
+  Sequence want;
+  for (const std::uint8_t c : codes) {
+    if (c == seq::kInvalidBase) {
+      want.push_back_invalid();
+    } else {
+      want.push_back(c);
+    }
+  }
+  for (const std::size_t chunk : {1u, 7u, 31u, 32u, 33u, 64u, 1000u}) {
+    Sequence got;
+    for (std::size_t i = 0; i < codes.size(); i += chunk) {
+      const std::size_t n = std::min(chunk, codes.size() - i);
+      got.append_codes({codes.data() + i, n});
+    }
+    EXPECT_EQ(got.packed_words(), want.packed_words()) << "chunk " << chunk;
+    EXPECT_EQ(got.invalid_words(), want.invalid_words()) << "chunk " << chunk;
+    EXPECT_EQ(got.invalid_count(), want.invalid_count());
+    EXPECT_TRUE(got == want) << "chunk " << chunk;
+  }
 }
 
 TEST(Synthetic, DeterministicInSeed) {

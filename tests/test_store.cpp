@@ -363,6 +363,76 @@ TEST(StoreCorruption, StaleGeometryNamesEveryMismatchedField) {
   }
 }
 
+/// Overwrites one uint32 element of section `id` and re-seals the image
+/// (section checksum, then the header checksum over header + table), so only
+/// the content checks behind the checksums can catch the edit.
+std::vector<std::uint8_t> reseal_with(std::vector<std::uint8_t> image,
+                                      SectionId id, std::size_t element,
+                                      std::uint32_t value) {
+  ArtifactHeader header;
+  std::memcpy(&header, image.data(), sizeof header);
+  std::vector<SectionEntry> table(header.section_count);
+  std::memcpy(table.data(), image.data() + sizeof header,
+              table.size() * sizeof(SectionEntry));
+  for (SectionEntry& e : table) {
+    if (static_cast<SectionId>(e.id) != id) continue;
+    std::memcpy(image.data() + e.offset + element * sizeof value, &value,
+                sizeof value);
+    e.checksum = util::fnv1a64_striped(image.data() + e.offset, e.bytes);
+  }
+  std::memcpy(image.data() + sizeof header, table.data(),
+              table.size() * sizeof(SectionEntry));
+  header.header_checksum = 0;
+  util::Fnv1a64 digest;
+  digest.update(&header, sizeof header);
+  digest.update(table.data(), table.size() * sizeof(SectionEntry));
+  header.header_checksum = digest.digest();
+  std::memcpy(image.data(), &header, sizeof header);
+  return image;
+}
+
+TEST(StoreCorruption, ResealedLocPastTheReferenceIsATypedError) {
+  // A sealed artifact whose row loc points past the reference used to load
+  // and silently find no MEMs from that row; the adopting index now checks
+  // every loc against the reference and names the section and row.
+  const auto ref = test_reference(1200, 71);
+  const Config cfg = small_config();
+  BuildOptions opt;
+  opt.copmem_step = 2;
+  const auto image = store::build_artifact(ref, cfg, opt);
+  const auto past_end = static_cast<std::uint32_t>(ref.size() + 40);
+
+  // Row 1's first loc (the row table gives its offset in kKmerLocs).
+  const LoadedIndex clean = load_image(image);
+  ASSERT_GT(clean.tile_rows(), 1u);
+  const std::size_t row1_locs =
+      static_cast<std::size_t>(clean.row(1).locs.data() - clean.row(0).locs.data());
+  const LoadedIndex bad_row =
+      load_image(reseal_with(image, SectionId::kKmerLocs, row1_locs, past_end));
+  try {
+    (void)bad_row.native_index();
+    FAIL() << "a row loc past the reference was accepted";
+  } catch (const StoreError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("section kmer-locs"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("row 1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("outside the sampled range"), std::string::npos) << msg;
+  }
+
+  // The copMEM section: { seed_len, step, ptrs[4^seed_len + 1], locs... }.
+  const std::size_t cop_loc0 = 2 + (std::size_t{1} << (2 * cfg.seed_len)) + 1;
+  const LoadedIndex bad_cop = load_image(
+      reseal_with(image, SectionId::kCopmemIndex, cop_loc0, past_end));
+  try {
+    (void)bad_cop.copmem_index();
+    FAIL() << "a copMEM loc past the reference was accepted";
+  } catch (const StoreError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("section copmem-index"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("outside the sampled range"), std::string::npos) << msg;
+  }
+}
+
 TEST(StoreCorruption, OpenFileErrorsNameThePath) {
   const std::string missing =
       (std::filesystem::path(::testing::TempDir()) / "no-such.gmidx")
